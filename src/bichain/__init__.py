@@ -43,6 +43,7 @@ from .modules import (
     Goal,
     GoalSet,
     GoalStatus,
+    ModuleBackend,
     RelevantFacts,
     RuleSelection,
     SymbolicBackend,

@@ -133,7 +133,7 @@ def _evaluate_one(index: int, problem: Problem, engine: str, cfg: RunConfig,
                   ) -> tuple[ProblemResult, dict | None]:
     prove = ENGINES[engine]
     backend = make_backend(cfg.backend)
-    engine_config = cfg.engine_config or EngineConfig(backend=cfg.backend)
+    engine_config = cfg.engine_config or EngineConfig()
     name = problem.meta or f"problem{index}"
     try:
         gold = _gold_label(problem)

@@ -77,7 +77,7 @@ def _load_single(path: str, backend: str):
 
 def _cmd_prove(args) -> int:
     problem = _load_single(args.file, args.backend)
-    config = EngineConfig(max_steps=args.max_steps, backend=args.backend)
+    config = EngineConfig(max_steps=args.max_steps)
     backend = make_backend(args.backend)
     if problem.options:
         chosen, verdicts = evaluate_options(problem, config, backend,
@@ -141,7 +141,7 @@ def _cmd_bench(args) -> int:
         corpus=tuple(args.corpus),
         engines=tuple(e.strip() for e in args.engines.split(",") if e.strip()),
         backend=args.backend,
-        engine_config=EngineConfig(max_steps=args.max_steps, backend=args.backend),
+        engine_config=EngineConfig(max_steps=args.max_steps),
         parallelism=args.parallel,
         report_path=args.report,
         trace_dir=args.trace_dir,

@@ -15,21 +15,23 @@ equals the number of steps in its trace, whichever backend served them.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .language import Hypothesis, Label, Problem, render_literal
 from .remote import TransportError
 from .modules import (
     DeductionStep,
+    Derivation,
     FactCheckResult,
     Goal,
     GoalSet,
     GoalStatus,
+    ModuleBackend,
     RelevantFacts,
     RuleSelection,
     SymbolicBackend,
     deserialize_binding,
-    serialize_binding,
 )
 from .terms import (
     Binding,
@@ -53,12 +55,10 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Step budget, starting direction, and return policy for one evaluation."""
+    """Step budget and starting direction for one evaluation."""
 
     max_steps: int = 50
     start_direction: Direction = Direction.FORWARD
-    immediate_return: bool = True
-    backend: str = "symbolic"
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -131,10 +131,6 @@ class Verdict:
             raise ValueError("call count must equal the number of trace steps")
 
 
-def _lit_payload(lit: Literal) -> dict:
-    return {"term": term_string(lit), "text": render_literal(lit)}
-
-
 def _goal_payload(goal: Goal) -> dict:
     out = {"term": term_string(goal.literal),
            "text": render_literal(goal.literal),
@@ -157,35 +153,19 @@ def _set_payload(gs: GoalSet) -> dict:
     }
 
 
-class _Recorder:
-    """Appends module steps to the trace; the step count is the call count.
-
-    When the backend carries raw wire responses (the remote one does), they
-    are attached verbatim to the step they answered, so replay validation
-    can audit the original text.
-    """
-
-    def __init__(self, engine: str, problem: str, backend=None):
-        self.trace = ProofTrace(engine=engine, problem=problem)
-        self.backend = backend
-
-    def record(self, direction: Direction, module: str, payload: dict,
-               confusion: bool | None = None, note: str = "") -> TraceStep:
-        if hasattr(self.backend, "drain_responses"):
-            raw = self.backend.drain_responses()
-            if raw:
-                payload = {**payload, "responses": raw}
-        step = TraceStep(len(self.trace.steps) + 1, direction.value, module,
-                         payload, confusion, note)
-        self.trace.steps.append(step)
-        return step
-
-    @property
-    def calls(self) -> int:
-        return len(self.trace.steps)
+def _deduction_payload(rules: tuple[int, ...], derived: tuple[Derivation, ...],
+                       **extra) -> dict:
+    return {"rules": list(rules), **extra,
+            "derived": [{"term": term_string(d.literal), "text": render_literal(d.literal),
+                         "rule": d.rule_id, "premises": list(d.premises),
+                         "binding": [list(p) for p in d.binding]} for d in derived]}
 
 
-def make_backend(name: str):
+def _fact_resolution(res: FactCheckResult) -> dict:
+    return {"kind": "fact", "fact": res.evidence}
+
+
+def make_backend(name: str) -> ModuleBackend:
     if name == "symbolic":
         return SymbolicBackend()
     if name == "remote":
@@ -195,31 +175,77 @@ def make_backend(name: str):
     raise ValueError(f"unknown backend {name!r}")
 
 
-def _prepare(problem: Problem, hypothesis: Hypothesis, backend) -> tuple[KnowledgeBase, list[str]]:
-    if problem.remote_only and not getattr(backend, "handles_freeform", False):
-        raise ValueError("problem contains free-form statements; use the remote backend")
-    if hasattr(backend, "bind_problem"):
+class _Run:
+    """One evaluation: the working knowledge base, the trace, the warnings.
+
+    Set-up asserts the hypothesis condition and binds the backend.  Each
+    recorded step is one call; raw wire responses, when the backend keeps
+    them, are attached verbatim to the step they answered so replay
+    validation can audit the original text.
+    """
+
+    def __init__(self, engine: str, problem: Problem, backend: ModuleBackend):
+        if problem.hypothesis is None:
+            raise ValueError("multi-option problems go through evaluate_options")
+        if problem.remote_only and not backend.handles_freeform:
+            raise ValueError("problem contains free-form statements; use the remote backend")
         backend.bind_problem(problem)
-    kb = problem.kb
-    for lit in hypothesis.condition:
-        kb = kb.add_given(lit)
-    warnings = []
-    if not kb.consistent:
-        warnings.append("InconsistentKB: a literal and its negation are both present")
-    return kb, warnings
+        self.problem = problem
+        self.hypothesis = problem.hypothesis
+        self.backend = backend
+        self.kb = problem.kb
+        for lit in self.hypothesis.condition:
+            self.kb = self.kb.add_given(lit)
+        self.warnings: list[str] = []
+        if not self.kb.consistent:
+            self.warnings.append("InconsistentKB: a literal and its negation are both present")
+        self.trace = ProofTrace(engine=engine, problem=problem.meta)
+
+    def record(self, direction: Direction, module: str, payload: dict,
+               confusion: bool | None = None) -> None:
+        raw = self.backend.drain_responses()
+        if raw:
+            payload = {**payload, "responses": raw}
+        self.trace.steps.append(TraceStep(len(self.trace.steps) + 1, direction.value,
+                                          module, payload, confusion))
+
+    def check(self, direction: Direction, hypothesis: Hypothesis) -> FactCheckResult:
+        """Fact-check a hypothesis against the working knowledge base."""
+        res = self.backend.fact_check(hypothesis, self.kb)
+        self.record(direction, "fact_check",
+                    {"kind": "hypothesis", "target": term_string(hypothesis.consequent),
+                     "label": res.label.value, "evidence": res.evidence})
+        return res
+
+    def derive(self, derived: tuple[Derivation, ...]) -> range:
+        """Store derivations; returns the ids of the facts they added."""
+        before = len(self.kb.facts)
+        self.kb = self.kb.add_derived([(d.literal, d.rule_id, d.premises) for d in derived])
+        return range(before + 1, len(self.kb.facts) + 1)
+
+    def finish(self, label: Label, resolution: dict | None) -> Verdict:
+        self.warnings.extend(self.backend.drain_warnings())
+        self.trace.label = label
+        self.trace.resolution = resolution
+        # Facts asserted from a hypothesis condition are scoped to this
+        # evaluation, so nothing is shareable when a condition was present.
+        derived = () if self.hypothesis.condition else \
+            self.kb.facts[len(self.problem.kb.facts):]
+        return Verdict(label, self.trace, len(self.trace.steps), tuple(self.warnings),
+                       tuple(derived))
 
 
-def _drain(backend, warnings: list[str]) -> None:
-    if hasattr(backend, "drain_warnings"):
-        warnings.extend(backend.drain_warnings())
-
-
-def _derived_facts(problem: Problem, hypothesis: Hypothesis, kb: KnowledgeBase) -> tuple[Fact, ...]:
-    # Facts asserted from a hypothesis condition are scoped to this
-    # evaluation, so nothing is shareable when a condition was present.
-    if hypothesis.condition:
-        return ()
-    return tuple(kb.facts[len(problem.kb.facts):])
+def _evaluate(engine: str, search: Callable[[_Run, EngineConfig], tuple[Label, dict | None]],
+              problem: Problem, config: EngineConfig | None,
+              backend: ModuleBackend | None) -> Verdict:
+    """Run one engine's search loop; an unreachable backend yields Unknown."""
+    run = _Run(engine, problem, backend or SymbolicBackend())
+    try:
+        label, resolution = search(run, config or EngineConfig())
+    except TransportError as exc:
+        run.warnings.append(f"TransportError: {exc}")
+        label, resolution = Label.UNKNOWN, None
+    return run.finish(label, resolution)
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +345,7 @@ def _resolution_tree(node: _Node, q: Literal) -> dict:
 
 
 def prove_bidirectional(problem: Problem, config: EngineConfig | None = None,
-                        backend=None) -> Verdict:
+                        backend: ModuleBackend | None = None) -> Verdict:
     """Alternating forward/backward chaining with confusion-driven switches.
 
     Relevant facts are identified once and grown with each deduction; the
@@ -329,36 +355,24 @@ def prove_bidirectional(problem: Problem, config: EngineConfig | None = None,
     new facts, backward with nothing left to expand) is not revisited; when
     both are in that state the verdict is Unknown.
     """
-    config = config or EngineConfig()
-    backend = backend or make_backend(config.backend)
-    if problem.hypothesis is None:
-        raise ValueError("multi-option problems go through evaluate_options")
-    hypothesis = problem.hypothesis
-    kb, warnings = _prepare(problem, hypothesis, backend)
-    rec = _Recorder("bi", problem.meta, backend)
+    return _evaluate("bi", _search_bidirectional, problem, config, backend)
+
+
+def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict | None]:
+    backend, hypothesis = run.backend, run.hypothesis
     q = hypothesis.consequent
     start = config.start_direction
 
-    def finish(label: Label, resolution: dict | None) -> Verdict:
-        _drain(backend, warnings)
-        rec.trace.label = label
-        rec.trace.resolution = resolution
-        return Verdict(label, rec.trace, rec.calls, tuple(warnings),
-                       _derived_facts(problem, hypothesis, kb))
-
     relevant_ids: list[int] = []
-    if kb.facts:
-        relevant = backend.fact_identify(hypothesis, kb)
-        rec.record(start, "fact_identify",
+    if run.kb.facts:
+        relevant = backend.fact_identify(hypothesis, run.kb)
+        run.record(start, "fact_identify",
                    {"hypothesis": term_string(q), "facts": list(relevant.fact_ids)})
         relevant_ids = list(relevant.fact_ids)
 
-    res = backend.fact_check(hypothesis, kb)
-    rec.record(start, "fact_check",
-               {"kind": "hypothesis", "target": term_string(q),
-                "label": res.label.value, "evidence": res.evidence})
+    res = run.check(start, hypothesis)
     if res.label is not Label.UNKNOWN:
-        return finish(res.label, {"kind": "fact", "fact": res.evidence})
+        return res.label, _fact_resolution(res)
 
     namer = _VarNamer()
     root = _Node(id=1, gs=GoalSet((Goal(q),)))
@@ -371,18 +385,16 @@ def prove_bidirectional(problem: Problem, config: EngineConfig | None = None,
     forward_dead = False  # stalled even with the widened fact subset
     widened = False
     backward_done = False
-    pending: tuple[Label, dict | None] | None = None
-    steps = 0
 
     def frontier_check() -> FactCheckResult:
-        result = backend.fact_check(tuple(n.gs for n in frontier), kb)
+        result = backend.fact_check(tuple(n.gs for n in frontier), run.kb)
         nodes_payload = []
         for node, gs in zip(frontier, result.goalsets):
             node.gs = gs
             nodes_payload.append({"node": node.id, **_set_payload(gs),
                                   "goals": [_goal_payload(g) for g in gs.goals]})
         satisfied_node = frontier[result.satisfied].id if result.satisfied is not None else None
-        rec.record(Direction.BACKWARD, "fact_check",
+        run.record(Direction.BACKWARD, "fact_check",
                    {"kind": "goals", "label": result.label.value,
                     "satisfied": satisfied_node, "nodes": nodes_payload})
         return result
@@ -401,7 +413,7 @@ def prove_bidirectional(problem: Problem, config: EngineConfig | None = None,
                 lit = goal.literal
                 if lit in norule or lit in node.tried:
                     continue
-                if lit.is_ground and kb.entailed(lit) is Entailment.HOLDS:
+                if lit.is_ground and run.kb.entailed(lit) is Entailment.HOLDS:
                     continue  # newly derived facts close it at the next check
                 candidates.append(lit)
             if candidates:
@@ -412,158 +424,129 @@ def prove_bidirectional(problem: Problem, config: EngineConfig | None = None,
             return None
         return best[2], best[3]
 
-    try:
-        while steps < config.max_steps:
-            if direction is Direction.FORWARD:
-                steps += 1
-                # the goal is whatever the backward side still needs (Q starts as
-                # the hypothesis consequent and is reassigned by each abduction)
-                targets: list[Literal] = []
-                for n in frontier:
-                    for g in n.gs.goals:
-                        if g.status is GoalStatus.OPEN and g.literal not in targets:
-                            targets.append(g.literal)
-                if not targets:
-                    targets = [q]
-                selection = backend.rule_select_forward(
-                    RelevantFacts(tuple(relevant_ids)), kb, tuple(targets))
-                if selection.bridge is not None and len(selection.rule_ids) != 1:
-                    raise AssertionError("a bridge must collapse the selection")
-                rec.record(direction, "rule_select_forward",
-                           {"relevant": list(relevant_ids),
-                            "goal": [term_string(t) for t in targets],
-                            "rules": list(selection.rule_ids), "bridge": selection.bridge})
-                step = DeductionStep()
-                if selection.rule_ids:
-                    step = backend.logic_deduce(
-                        RelevantFacts(tuple(relevant_ids)), selection, kb)
-                    rec.record(direction, "logic_deduce",
-                               {"rules": list(selection.rule_ids),
-                                "derived": [{**_lit_payload(d.literal), "rule": d.rule_id,
-                                             "premises": list(d.premises),
-                                             "binding": [list(p) for p in d.binding]}
-                                            for d in step.derived]})
-                if step.derived:
-                    before = len(kb.facts)
-                    kb = kb.add_derived([(d.literal, d.rule_id, d.premises)
-                                         for d in step.derived])
-                    relevant_ids.extend(range(before + 1, len(kb.facts) + 1))
-                res = backend.fact_check(hypothesis, kb)
-                rec.record(direction, "fact_check",
-                           {"kind": "hypothesis", "target": term_string(q),
-                            "label": res.label.value, "evidence": res.evidence})
-                if res.label is not Label.UNKNOWN:
-                    pending = (res.label, {"kind": "fact", "fact": res.evidence})
-                    if config.immediate_return:
-                        return finish(*pending)
-                confusion = False
-                if step.derived:
-                    confusion = backend.confusion_check(step)
-                    rec.record(direction, "confusion_check",
-                               {"kind": "deduction", "count": len(step.derived),
-                                "confusion": confusion}, confusion=confusion)
-                stalled = not step.derived
-                if stalled:
-                    if not widened and len(relevant_ids) < len(kb.facts):
-                        # the relevance subset can starve a needed rule; one
-                        # retry over the full fact set keeps forward complete
-                        widened = True
-                        relevant_ids = [f.id for f in kb.facts]
-                    else:
-                        forward_dead = True
+    for _ in range(config.max_steps):
+        if direction is Direction.FORWARD:
+            # the goal is whatever the backward side still needs (Q starts as
+            # the hypothesis consequent and is reassigned by each abduction)
+            targets: list[Literal] = []
+            for n in frontier:
+                for g in n.gs.goals:
+                    if g.status is GoalStatus.OPEN and g.literal not in targets:
+                        targets.append(g.literal)
+            if not targets:
+                targets = [q]
+            selection = backend.rule_select_forward(
+                RelevantFacts(tuple(relevant_ids)), run.kb, tuple(targets))
+            if selection.bridge is not None and len(selection.rule_ids) != 1:
+                raise AssertionError("a bridge must collapse the selection")
+            run.record(direction, "rule_select_forward",
+                       {"relevant": list(relevant_ids),
+                        "goal": [term_string(t) for t in targets],
+                        "rules": list(selection.rule_ids), "bridge": selection.bridge})
+            step = DeductionStep()
+            if selection.rule_ids:
+                step = backend.logic_deduce(
+                    RelevantFacts(tuple(relevant_ids)), selection, run.kb)
+                run.record(direction, "logic_deduce",
+                           _deduction_payload(selection.rule_ids, step.derived))
+            if step.derived:
+                relevant_ids.extend(run.derive(step.derived))
+            res = run.check(direction, hypothesis)
+            if res.label is not Label.UNKNOWN:
+                return res.label, _fact_resolution(res)
+            confusion = False
+            if step.derived:
+                confusion = backend.confusion_check(step)
+                run.record(direction, "confusion_check",
+                           {"kind": "deduction", "count": len(step.derived),
+                            "confusion": confusion}, confusion=confusion)
+            stalled = not step.derived
+            if stalled:
+                if not widened and len(relevant_ids) < len(run.kb.facts):
+                    # the relevance subset can starve a needed rule; one
+                    # retry over the full fact set keeps forward complete
+                    widened = True
+                    relevant_ids = [f.id for f in run.kb.facts]
                 else:
-                    forward_dead = False
-                if confusion or stalled:
-                    if pending is not None:
-                        return finish(*pending)
-                    if forward_dead and backward_done:
-                        return finish(Label.UNKNOWN, None)
-                    if not backward_done:
-                        direction = Direction.BACKWARD
+                    forward_dead = True
             else:
-                steps += 1
-                picked = pick_node()
-                if picked is None:
-                    # closure sweep: forward facts may have completed a goal set
-                    result = frontier_check()
-                    if result.satisfied is not None:
-                        node = frontier[result.satisfied]
-                        return finish(Label.PROVED, _resolution_tree(node, q))
-                    frontier = [n for n in frontier if not n.gs.failed]
-                    backward_done = True
-                    if forward_dead:
-                        return finish(Label.UNKNOWN, None)
-                    direction = Direction.FORWARD
-                    continue
-                node, candidates = picked
-                selection = backend.rule_select_backward(candidates, kb)
-                rec.record(direction, "rule_select_backward",
-                           {"node": node.id,
-                            "goals": [term_string(g) for g in candidates],
-                            "rules": list(selection.rule_ids),
-                            "by_goal": [[term_string(g), list(ids)]
-                                        for g, ids in selection.by_goal]})
-                # expand the most constrained goal (fewest matching rules);
-                # goals with no rules at all are dead ends for expansion
-                expand_goal: Literal | None = None
-                expand_rules: tuple[int, ...] = ()
-                for g, ids in selection.by_goal:
-                    if not ids:
-                        norule.add(g)
-                    elif expand_goal is None or len(ids) < len(expand_rules):
-                        expand_goal = g
-                        expand_rules = ids
-                module_sets: tuple[GoalSet, ...] = ()
-                if expand_goal is not None:
-                    module_sets = backend.logic_abduce(
-                        expand_goal, RuleSelection(expand_rules), kb)
-                    merged = expand_node(node.gs.goals, expand_goal, module_sets, namer)
-                    children: list[_Node] = []
-                    for gs, new_goals, commitments in merged:
-                        sig = gs.signature()
-                        if sig in seen_sigs:
-                            continue
-                        seen_sigs.add(sig)
-                        env = dict(node.env)
-                        env.update(commitments)
-                        children.append(_Node(id=next_node_id, gs=gs, parent=node,
-                                              expanded_goal=expand_goal,
-                                              rule_id=gs.origin_rule, env=env,
-                                              new_goals=new_goals))
-                        next_node_id += 1
-                    rec.record(direction, "logic_abduce",
-                               {"node": node.id, "goal": term_string(expand_goal),
-                                "sets": [_set_payload(gs) for gs in module_sets],
-                                "children": [c.id for c in children]})
-                    if children:
-                        at = frontier.index(node)
-                        frontier[at:at + 1] = children
-                    else:
-                        node.tried.add(expand_goal)
+                forward_dead = False
+            if confusion or stalled:
+                if forward_dead and backward_done:
+                    return Label.UNKNOWN, None
+                if not backward_done:
+                    direction = Direction.BACKWARD
+        else:
+            picked = pick_node()
+            if picked is None:
+                # closure sweep: forward facts may have completed a goal set
                 result = frontier_check()
                 if result.satisfied is not None:
-                    satisfied = frontier[result.satisfied]
-                    pending = (Label.PROVED, _resolution_tree(satisfied, q))
-                    if config.immediate_return:
-                        return finish(*pending)
+                    return Label.PROVED, _resolution_tree(frontier[result.satisfied], q)
                 frontier = [n for n in frontier if not n.gs.failed]
-                confusion = False
-                if module_sets:
-                    confusion = backend.confusion_check(module_sets)
-                    rec.record(direction, "confusion_check",
-                               {"kind": "abduction", "count": len(module_sets),
-                                "confusion": confusion}, confusion=confusion)
-                if confusion:
-                    if pending is not None:
-                        return finish(*pending)
-                    if not forward_dead:
-                        direction = Direction.FORWARD
-        if pending is not None:
-            return finish(*pending)
-        return finish(Label.UNKNOWN, None)
-    except TransportError as exc:
-        warnings.append(f"TransportError: {exc}")
-        return finish(Label.UNKNOWN, None)
+                backward_done = True
+                if forward_dead:
+                    return Label.UNKNOWN, None
+                direction = Direction.FORWARD
+                continue
+            node, candidates = picked
+            selection = backend.rule_select_backward(candidates, run.kb)
+            run.record(direction, "rule_select_backward",
+                       {"node": node.id,
+                        "goals": [term_string(g) for g in candidates],
+                        "rules": list(selection.rule_ids),
+                        "by_goal": [[term_string(g), list(ids)]
+                                    for g, ids in selection.by_goal]})
+            # expand the most constrained goal (fewest matching rules);
+            # goals with no rules at all are dead ends for expansion
+            expand_goal: Literal | None = None
+            expand_rules: tuple[int, ...] = ()
+            for g, ids in selection.by_goal:
+                if not ids:
+                    norule.add(g)
+                elif expand_goal is None or len(ids) < len(expand_rules):
+                    expand_goal = g
+                    expand_rules = ids
+            module_sets: tuple[GoalSet, ...] = ()
+            if expand_goal is not None:
+                module_sets = backend.logic_abduce(
+                    expand_goal, RuleSelection(expand_rules), run.kb)
+                merged = expand_node(node.gs.goals, expand_goal, module_sets, namer)
+                children: list[_Node] = []
+                for gs, new_goals, commitments in merged:
+                    sig = gs.signature()
+                    if sig in seen_sigs:
+                        continue
+                    seen_sigs.add(sig)
+                    env = dict(node.env)
+                    env.update(commitments)
+                    children.append(_Node(id=next_node_id, gs=gs, parent=node,
+                                          expanded_goal=expand_goal,
+                                          rule_id=gs.origin_rule, env=env,
+                                          new_goals=new_goals))
+                    next_node_id += 1
+                run.record(direction, "logic_abduce",
+                           {"node": node.id, "goal": term_string(expand_goal),
+                            "sets": [_set_payload(gs) for gs in module_sets],
+                            "children": [c.id for c in children]})
+                if children:
+                    at = frontier.index(node)
+                    frontier[at:at + 1] = children
+                else:
+                    node.tried.add(expand_goal)
+            result = frontier_check()
+            if result.satisfied is not None:
+                return Label.PROVED, _resolution_tree(frontier[result.satisfied], q)
+            frontier = [n for n in frontier if not n.gs.failed]
+            confusion = False
+            if module_sets:
+                confusion = backend.confusion_check(module_sets)
+                run.record(direction, "confusion_check",
+                           {"kind": "abduction", "count": len(module_sets),
+                            "confusion": confusion}, confusion=confusion)
+            if confusion and not forward_dead:
+                direction = Direction.FORWARD
+    return Label.UNKNOWN, None
 
 
 # --------------------------------------------------------------------------
@@ -572,7 +555,7 @@ def prove_bidirectional(problem: Problem, config: EngineConfig | None = None,
 
 
 def prove_forward(problem: Problem, config: EngineConfig | None = None,
-                  backend=None) -> Verdict:
+                  backend: ModuleBackend | None = None) -> Verdict:
     """Iterated selection and inference over the whole fact set.
 
     No fact identification and no bridge preference: selection returns every
@@ -580,58 +563,30 @@ def prove_forward(problem: Problem, config: EngineConfig | None = None,
     novel consequent in rule-id order.  Stops on a decisive check, a step
     with no new facts, or the step budget.
     """
-    config = config or EngineConfig()
-    backend = backend or make_backend(config.backend)
-    if problem.hypothesis is None:
-        raise ValueError("multi-option problems go through evaluate_options")
-    hypothesis = problem.hypothesis
-    kb, warnings = _prepare(problem, hypothesis, backend)
-    rec = _Recorder("forward", problem.meta, backend)
-    q = hypothesis.consequent
+    return _evaluate("forward", _search_forward, problem, config, backend)
 
-    def finish(label: Label, resolution: dict | None) -> Verdict:
-        _drain(backend, warnings)
-        rec.trace.label = label
-        rec.trace.resolution = resolution
-        return Verdict(label, rec.trace, rec.calls, tuple(warnings),
-                       _derived_facts(problem, hypothesis, kb))
 
-    steps = 0
-    try:
-        while steps < config.max_steps:
-            steps += 1
-            relevant = RelevantFacts(tuple(f.id for f in kb.facts))
-            selection = backend.rule_select_forward(relevant, kb, goal=None)
-            rec.record(Direction.FORWARD, "rule_select_forward",
-                       {"relevant": list(relevant.fact_ids), "goal": None,
-                        "rules": list(selection.rule_ids), "bridge": selection.bridge})
-            applied: list = []
-            applied_rule = None
-            if selection.rule_ids:
-                step = backend.logic_deduce(relevant, selection, kb)
-                if step.derived:
-                    applied = [step.derived[0]]
-                    applied_rule = applied[0].rule_id
-                rec.record(Direction.FORWARD, "logic_deduce",
-                           {"rules": list(selection.rule_ids), "applied": applied_rule,
-                            "derived": [{**_lit_payload(d.literal), "rule": d.rule_id,
-                                         "premises": list(d.premises),
-                                         "binding": [list(p) for p in d.binding]}
-                                        for d in applied]})
-            if applied:
-                kb = kb.add_derived([(d.literal, d.rule_id, d.premises) for d in applied])
-            res = backend.fact_check(hypothesis, kb)
-            rec.record(Direction.FORWARD, "fact_check",
-                       {"kind": "hypothesis", "target": term_string(q),
-                        "label": res.label.value, "evidence": res.evidence})
-            if res.label is not Label.UNKNOWN:
-                return finish(res.label, {"kind": "fact", "fact": res.evidence})
-            if not applied:
-                return finish(Label.UNKNOWN, None)
-        return finish(Label.UNKNOWN, None)
-    except TransportError as exc:
-        warnings.append(f"TransportError: {exc}")
-        return finish(Label.UNKNOWN, None)
+def _search_forward(run: _Run, config: EngineConfig) -> tuple[Label, dict | None]:
+    for _ in range(config.max_steps):
+        relevant = RelevantFacts(tuple(f.id for f in run.kb.facts))
+        selection = run.backend.rule_select_forward(relevant, run.kb, goal=None)
+        run.record(Direction.FORWARD, "rule_select_forward",
+                   {"relevant": list(relevant.fact_ids), "goal": None,
+                    "rules": list(selection.rule_ids), "bridge": selection.bridge})
+        applied = ()
+        if selection.rule_ids:
+            applied = run.backend.logic_deduce(relevant, selection, run.kb).derived[:1]
+            run.record(Direction.FORWARD, "logic_deduce",
+                       _deduction_payload(selection.rule_ids, applied,
+                                          applied=applied[0].rule_id if applied else None))
+        if applied:
+            run.derive(applied)
+        res = run.check(Direction.FORWARD, run.hypothesis)
+        if res.label is not Label.UNKNOWN:
+            return res.label, _fact_resolution(res)
+        if not applied:
+            return Label.UNKNOWN, None
+    return Label.UNKNOWN, None
 
 
 # --------------------------------------------------------------------------
@@ -663,7 +618,7 @@ def _groundings(goals: tuple[Goal, ...], universe: tuple[str, ...]):
 
 
 def prove_backward(problem: Problem, config: EngineConfig | None = None,
-                   backend=None) -> Verdict:
+                   backend: ModuleBackend | None = None) -> Verdict:
     """Depth-first AND-OR search from the goal, with iterative deepening.
 
     Candidate decompositions are ordered by ascending condition count (ties
@@ -673,32 +628,19 @@ def prove_backward(problem: Problem, config: EngineConfig | None = None,
     Deepening stops as soon as a round finishes without hitting its depth
     cutoff.
     """
-    config = config or EngineConfig()
-    backend = backend or make_backend(config.backend)
-    if problem.hypothesis is None:
-        raise ValueError("multi-option problems go through evaluate_options")
-    hypothesis = problem.hypothesis
-    kb, warnings = _prepare(problem, hypothesis, backend)
-    rec = _Recorder("backward", problem.meta, backend)
-    q = hypothesis.consequent
+    return _evaluate("backward", _search_backward, problem, config, backend)
+
+
+def _search_backward(run: _Run, config: EngineConfig) -> tuple[Label, dict | None]:
+    backend, kb = run.backend, run.kb
+    q = run.hypothesis.consequent
     universe = tuple(sorted(set(kb.constants()) | q.constants()))
-
-    def finish(label: Label, resolution: dict | None) -> Verdict:
-        _drain(backend, warnings)
-        rec.trace.label = label
-        rec.trace.resolution = resolution
-        return Verdict(label, rec.trace, rec.calls, tuple(warnings),
-                       _derived_facts(problem, hypothesis, kb))
-
     cutoff = [False]
 
     def prove(goal: Literal, budget: int, path: tuple[Literal, ...]
               ) -> tuple[Label, dict | None, bool]:
         """Returns (label, proof tree, exhausted-without-cutoff)."""
-        res = backend.fact_check(Hypothesis(consequent=goal), kb)
-        rec.record(Direction.BACKWARD, "fact_check",
-                   {"kind": "hypothesis", "target": term_string(goal),
-                    "label": res.label.value, "evidence": res.evidence})
+        res = run.check(Direction.BACKWARD, Hypothesis(consequent=goal))
         if res.label is Label.PROVED:
             return Label.PROVED, {"literal": term_string(goal), "fact": res.evidence}, True
         if res.label is Label.DISPROVED:
@@ -709,12 +651,12 @@ def prove_backward(problem: Problem, config: EngineConfig | None = None,
             cutoff[0] = True
             return Label.UNKNOWN, None, False
         selection = backend.rule_select_backward((goal,), kb)
-        rec.record(Direction.BACKWARD, "rule_select_backward",
+        run.record(Direction.BACKWARD, "rule_select_backward",
                    {"goal": term_string(goal), "rules": list(selection.rule_ids)})
         if not selection.rule_ids:
             return Label.UNKNOWN, None, True
         module_sets = backend.logic_abduce(goal, selection, kb)
-        rec.record(Direction.BACKWARD, "logic_abduce",
+        run.record(Direction.BACKWARD, "logic_abduce",
                    {"goal": term_string(goal),
                     "sets": [_set_payload(gs) for gs in module_sets],
                     "children": []})
@@ -737,26 +679,21 @@ def prove_backward(problem: Problem, config: EngineConfig | None = None,
                     return Label.PROVED, tree, True
         return Label.UNKNOWN, None, exhausted
 
-    try:
-        for depth in range(1, config.max_steps + 1):
-            cutoff[0] = False
-            label, proof, exhausted = prove(q, depth, ())
-            if label is Label.PROVED:
-                return finish(Label.PROVED, {"kind": "tree", "root": proof})
-            if label is Label.DISPROVED:
-                # directly contradicted by a fact
-                evidence = kb.lookup(q.negated())
-                return finish(Label.DISPROVED,
-                              {"kind": "fact", "fact": evidence.id if evidence else None})
-            neg_label, neg_proof, neg_exhausted = prove(q.negated(), depth, ())
-            if neg_label is Label.PROVED:
-                return finish(Label.DISPROVED, {"kind": "tree", "root": neg_proof})
-            if exhausted and neg_exhausted and not cutoff[0]:
-                return finish(Label.UNKNOWN, None)
-        return finish(Label.UNKNOWN, None)
-    except TransportError as exc:
-        warnings.append(f"TransportError: {exc}")
-        return finish(Label.UNKNOWN, None)
+    for depth in range(1, config.max_steps + 1):
+        cutoff[0] = False
+        label, proof, exhausted = prove(q, depth, ())
+        if label is Label.PROVED:
+            return Label.PROVED, {"kind": "tree", "root": proof}
+        if label is Label.DISPROVED:
+            # directly contradicted by a fact
+            evidence = kb.lookup(q.negated())
+            return Label.DISPROVED, {"kind": "fact", "fact": evidence.id if evidence else None}
+        neg_label, neg_proof, neg_exhausted = prove(q.negated(), depth, ())
+        if neg_label is Label.PROVED:
+            return Label.DISPROVED, {"kind": "tree", "root": neg_proof}
+        if exhausted and neg_exhausted and not cutoff[0]:
+            return Label.UNKNOWN, None
+    return Label.UNKNOWN, None
 
 
 ENGINES = {
@@ -767,7 +704,7 @@ ENGINES = {
 
 
 def evaluate_options(problem: Problem, config: EngineConfig | None = None,
-                     backend=None, engine: str = "bi",
+                     backend: ModuleBackend | None = None, engine: str = "bi",
                      ) -> tuple[int | None, tuple[Verdict, ...]]:
     """Evaluate options in order against a shared, growing knowledge base.
 

@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 
-from .terms import VAR, Atom, Entity, KnowledgeBase, Literal, Rule
+from .terms import _RESERVED, VAR, Atom, Entity, KnowledgeBase, Literal, Rule
 
 MAX_CONDITIONS = 3
 
@@ -34,11 +34,6 @@ VERB_FORMS = {
     "pushes": "push", "carries": "carry",
 }
 _BARE_FORMS = {bare: third for third, bare in VERB_FORMS.items()}
-
-_RESERVED = frozenset(
-    {"the", "if", "then", "and", "is", "are", "not", "does", "do",
-     "someone", "they", "them"}
-)
 
 
 def to_third_person(bare: str) -> str:

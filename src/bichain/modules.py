@@ -1,10 +1,11 @@
-"""The six reasoning-module contracts and their deterministic symbolic backend.
+"""The reasoning-module contracts and their deterministic symbolic backend.
 
-Engines program against ModuleBackend: fact identification, rule selection
-(forward and backward), deduction, abduction, fact check, and confusion
-check.  The symbolic backend resolves every contract by exact unification
-against the knowledge base; the remote backend (bichain.remote) answers the
-same contracts over the wire.
+Engines program against ModuleBackend: seven module calls (fact
+identification, forward and backward rule selection, deduction, abduction,
+fact check, and confusion check) plus three hooks through which a backend
+sees the problem and reports back.  The symbolic backend resolves every
+contract by exact unification against the knowledge base; the remote backend
+(bichain.remote) answers the same contracts over the wire.
 
 Every operation is pure.  Call accounting lives in the engine: one module
 invocation is one inference call, whichever backend serves it.
@@ -14,8 +15,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import Protocol
 
-from .language import Hypothesis, Label
+from .language import Hypothesis, Label, Problem
 from .terms import (
     Binding,
     Entailment,
@@ -23,6 +25,8 @@ from .terms import (
     KnowledgeBase,
     Literal,
     Rule,
+    constants_in_order,
+    rule_bindings,
     substitute,
     substitute_partial,
     unify,
@@ -34,9 +38,6 @@ class RelevantFacts:
     """Fact ids judged to matter for the hypothesis (the working subset)."""
 
     fact_ids: tuple[int, ...]
-
-    def __contains__(self, fact_id: int) -> bool:
-        return fact_id in set(self.fact_ids)
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,49 @@ def match_consequent(rule: Rule, goal: Literal) -> ConsequentMatch | None:
     return ConsequentMatch(rule_binding, commitments)
 
 
+class ModuleBackend(Protocol):
+    """What an engine needs from a backend.
+
+    One module method call is one inference call.  ``handles_freeform`` says
+    whether the backend can read statements outside the grammar;
+    ``bind_problem`` is called once per evaluation before any module call;
+    ``drain_responses`` hands over raw response records for the trace step
+    just answered, and ``drain_warnings`` the warnings gathered so far.  A
+    method may raise ``bichain.remote.TransportError``: the engine then ends
+    the evaluation as Unknown with a warning.
+    """
+
+    handles_freeform: bool
+
+    def bind_problem(self, problem: Problem) -> None: ...
+
+    def drain_warnings(self) -> list[str]: ...
+
+    def drain_responses(self) -> list[dict]: ...
+
+    def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> RelevantFacts: ...
+
+    def rule_select_forward(self, relevant: RelevantFacts, kb: KnowledgeBase,
+                            goal: Literal | tuple[Literal, ...] | None = None,
+                            ) -> RuleSelection: ...
+
+    def rule_select_backward(self, goals: tuple[Literal, ...],
+                             kb: KnowledgeBase) -> RuleSelection: ...
+
+    def logic_deduce(self, relevant: RelevantFacts, selection: RuleSelection,
+                     kb: KnowledgeBase) -> DeductionStep: ...
+
+    def logic_abduce(self, goal: Literal, selection: RuleSelection,
+                     kb: KnowledgeBase) -> tuple[GoalSet, ...]: ...
+
+    def fact_check(self, target: Hypothesis | tuple[GoalSet, ...],
+                   kb: KnowledgeBase) -> FactCheckResult: ...
+
+    def confusion_check(self, step: DeductionStep | tuple[GoalSet, ...]) -> bool: ...
+
+
 class SymbolicBackend:
-    """Exact-match implementation of all six module contracts.
+    """Exact-match ModuleBackend.
 
     Stateless; enumeration orders are fixed (rules by id, candidate constants
     by fact-insertion order) so every trace is reproducible.
@@ -221,6 +263,15 @@ class SymbolicBackend:
 
     name = "symbolic"
     handles_freeform = False
+
+    def bind_problem(self, problem: Problem) -> None:
+        """Nothing to bind: every answer comes from the knowledge base."""
+
+    def drain_warnings(self) -> list[str]:
+        return []
+
+    def drain_responses(self) -> list[dict]:
+        return []
 
     # -- fact identification ------------------------------------------------
 
@@ -236,46 +287,6 @@ class SymbolicBackend:
         return RelevantFacts(ids)
 
     # -- rule selection -----------------------------------------------------
-
-    @staticmethod
-    def _literal_ids(kb: KnowledgeBase, fact_ids: tuple[int, ...]) -> dict[Literal, int]:
-        return {kb.fact(i).literal: i for i in fact_ids}
-
-    @staticmethod
-    def _candidates(kb: KnowledgeBase, literal_map: dict[Literal, int]) -> tuple[str, ...]:
-        out: list[str] = []
-        seen: set[str] = set()
-        for fact in kb.facts:
-            if fact.literal not in literal_map:
-                continue
-            for e in fact.literal.atom.entities():
-                if e.name not in seen:
-                    seen.add(e.name)
-                    out.append(e.name)
-        return tuple(out)
-
-    def _rule_bindings(self, rule: Rule, literal_map: dict[Literal, int],
-                       candidates: tuple[str, ...]) -> list[tuple[Binding, tuple[int, ...]]]:
-        """All bindings under which every condition is present in the map."""
-        var = rule.variable()
-        options: list[Binding]
-        if var is None:
-            options = [{}]
-        else:
-            options = [{var: Entity(c)} for c in candidates]
-        found = []
-        for binding in options:
-            premises = []
-            for cond in rule.conditions:
-                ground = substitute_partial(cond, binding)
-                fact_id = literal_map.get(ground)
-                if fact_id is None:
-                    premises = None
-                    break
-                premises.append(fact_id)
-            if premises is not None:
-                found.append((binding, tuple(premises)))
-        return found
 
     def rule_select_forward(self, relevant: RelevantFacts, kb: KnowledgeBase,
                             goal: Literal | tuple[Literal, ...] | None = None,
@@ -294,11 +305,12 @@ class SymbolicBackend:
             goals = (goal,)
         else:
             goals = goal
-        literal_map = self._literal_ids(kb, relevant.fact_ids)
-        candidates = self._candidates(kb, literal_map)
+        literal_map = {kb.fact(i).literal: i for i in relevant.fact_ids}
+        candidates = constants_in_order(f.literal for f in kb.facts
+                                        if f.literal in literal_map)
         applicable = []
         for rule in kb.rules:
-            bindings = self._rule_bindings(rule, literal_map, candidates)
+            bindings = rule_bindings(rule, literal_map, candidates)
             if not bindings:
                 continue
             applicable.append(rule.id)
@@ -338,12 +350,12 @@ class SymbolicBackend:
         if not selection.rule_ids:
             raise ValueError("deduction needs a non-empty rule selection")
         literal_map = {f.literal: f.id for f in kb.facts}
-        candidates = self._candidates(kb, literal_map)
+        candidates = constants_in_order(literal_map)
         derived: list[Derivation] = []
         emitted: set[Literal] = set()
         for rule_id in selection.rule_ids:
             rule = kb.rule(rule_id)
-            for binding, premises in self._rule_bindings(rule, literal_map, candidates):
+            for binding, premises in rule_bindings(rule, literal_map, candidates):
                 literal = substitute_partial(rule.consequent, binding)
                 if literal in literal_map or literal in emitted:
                     continue

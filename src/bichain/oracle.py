@@ -15,9 +15,10 @@ from .engine import Direction, ProofTrace, TraceStep
 from .language import Hypothesis, Label, Problem, render_literal
 from .terms import (
     Binding,
-    Entity,
     KnowledgeBase,
     Literal,
+    constants_in_order,
+    rule_bindings,
     substitute_partial,
     term_string,
 )
@@ -59,17 +60,6 @@ class Closure:
         return len(self.facts)
 
 
-def _constants_in_order(literals: list[Literal]) -> list[str]:
-    out: list[str] = []
-    seen: set[str] = set()
-    for lit in literals:
-        for e in lit.atom.entities():
-            if not e.variable and e.name not in seen:
-                seen.add(e.name)
-                out.append(e.name)
-    return out
-
-
 def saturate(kb: KnowledgeBase) -> Closure:
     """Breadth-layered fixpoint: layer k holds exactly the facts of minimal
     depth k, each with all of its depth-k derivations.
@@ -80,53 +70,31 @@ def saturate(kb: KnowledgeBase) -> Closure:
     facts: list[ClosureFact] = [
         ClosureFact(f.id, f.literal, 0) for f in kb.facts
     ]
-    known: dict[Literal, ClosureFact] = {f.literal: f for f in facts}
-    candidates = _constants_in_order([f.literal for f in facts])
-    cand_seen = set(candidates)
+    known: dict[Literal, int] = {f.literal: f.id for f in facts}
     consistent = all(f.literal.negated() not in known for f in facts)
 
     while True:
+        candidates = constants_in_order(known)
         found: dict[Literal, list[tuple[int, tuple[int, ...]]]] = {}
-        order: list[Literal] = []
         for rule in kb.rules:
-            var = rule.variable()
-            bindings: list[Binding] = [{}] if var is None else [
-                {var: Entity(c)} for c in candidates]
-            for binding in bindings:
-                premises = []
-                for cond in rule.conditions:
-                    ground = substitute_partial(cond, binding)
-                    entry = known.get(ground)
-                    if entry is None:
-                        premises = None
-                        break
-                    premises.append(entry.id)
-                if premises is None:
-                    continue
+            for binding, premises in rule_bindings(rule, known, candidates):
                 conclusion = substitute_partial(rule.consequent, binding)
                 if conclusion in known:
                     continue
-                if conclusion not in found:
-                    found[conclusion] = []
-                    order.append(conclusion)
-                derivation = (rule.id, tuple(premises))
-                if derivation not in found[conclusion]:
-                    found[conclusion].append(derivation)
+                derivations = found.setdefault(conclusion, [])
+                if (rule.id, premises) not in derivations:
+                    derivations.append((rule.id, premises))
         if not found:
             break
-        for literal in order:
-            derivations = tuple(sorted(found[literal]))
+        for literal, derivations in found.items():
+            derivations = tuple(sorted(derivations))
             depth = 1 + max(max(facts[p - 1].depth for p in premises)
                             for _, premises in derivations)
             entry = ClosureFact(len(facts) + 1, literal, depth, derivations)
             facts.append(entry)
-            known[literal] = entry
+            known[literal] = entry.id
             if literal.negated() in known:
                 consistent = False
-            for e in literal.atom.entities():
-                if e.name not in cand_seen:
-                    cand_seen.add(e.name)
-                    candidates.append(e.name)
     return Closure(tuple(facts), consistent)
 
 

@@ -1,4 +1,4 @@
-"""Remote chat-completion backend for the reasoning-module contracts.
+"""Remote chat-completion ModuleBackend (see bichain.modules).
 
 Prompts are rendered from data-file templates (one per module kind), sent to
 a configurable chat-completion endpoint, and parsed back into module
@@ -38,17 +38,14 @@ from .modules import (
     GoalStatus,
     RelevantFacts,
     RuleSelection,
-    SymbolicBackend,
     match_consequent,
     serialize_binding,
 )
-from .terms import KnowledgeBase, Literal, substitute_partial
+from .terms import KnowledgeBase, Literal, constants_in_order, rule_bindings, substitute_partial
 
 TEMPLATE_KINDS = (
     "fact_identify", "rule_select_forward", "rule_select_backward",
     "logic_deduce", "logic_abduce", "fact_check", "confusion_check",
-    # backward-baseline prompt kinds
-    "rule_selection", "goal_decomposition", "sign_agreement",
 )
 
 ENV_ENDPOINT = "BICHAIN_ENDPOINT"
@@ -205,8 +202,7 @@ def parse_module_response(kind: str, text: str) -> tuple[object, bool]:
         if label is not None:
             return (label, None), True
         raise ResponseParseFailed("no label keyword in fact check", text[:80])
-    if kind in ("fact_identify", "rule_select_forward", "rule_select_backward",
-                "rule_selection"):
+    if kind in ("fact_identify", "rule_select_forward", "rule_select_backward"):
         numbers = [int(n) for n in _NUMBER_RE.findall(text)]
         numbers += [int(n) for n in _LINE_NUMBER_RE.findall(text)]
         unique = list(dict.fromkeys(numbers))
@@ -221,7 +217,7 @@ def parse_module_response(kind: str, text: str) -> tuple[object, bool]:
         if tokens:
             return tokens[-1].lower() == "true", True
         raise ResponseParseFailed("no True/False in confusion check", text[:80])
-    if kind in ("logic_deduce", "logic_abduce", "goal_decomposition"):
+    if kind in ("logic_deduce", "logic_abduce"):
         entries = []
         for chunk in re.split(r"\n|(?<=\.)\s+or\b", text):
             chunk = chunk.strip()
@@ -242,11 +238,6 @@ def parse_module_response(kind: str, text: str) -> tuple[object, bool]:
         if not entries:
             raise ResponseParseFailed("no usable content", text[:80])
         return entries, False
-    if kind == "sign_agreement":
-        m = re.search(r"\b(agree|disagree)\b", text, re.I)
-        if m:
-            return m.group(1).lower() == "agree", False
-        raise ResponseParseFailed("no agreement keyword", text[:80])
     raise ValueError(f"unknown response kind {kind!r}")
 
 
@@ -416,13 +407,12 @@ class RemoteBackend:
     def _reconstruct(self, literal: Literal, kb: KnowledgeBase,
                      cited_rules: list[int]) -> Derivation | None:
         """Find a rule application deriving the literal from current facts."""
-        symbolic = SymbolicBackend()
         literal_map = {f.literal: f.id for f in kb.facts}
-        candidates = symbolic._candidates(kb, literal_map)
+        candidates = constants_in_order(literal_map)
         rule_order = cited_rules + [r.id for r in kb.rules if r.id not in cited_rules]
         for rid in rule_order:
             rule = kb.rule(rid)
-            for binding, premises in symbolic._rule_bindings(rule, literal_map, candidates):
+            for binding, premises in rule_bindings(rule, literal_map, candidates):
                 if substitute_partial(rule.consequent, binding) == literal:
                     return Derivation(literal, rid, premises, serialize_binding(binding))
         return None

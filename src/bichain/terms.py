@@ -10,6 +10,7 @@ binding chains.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 
@@ -185,6 +186,39 @@ def substitute_partial(template: Literal, mapping: Binding) -> Literal:
     if subject == a.subject and obj == a.obj:
         return template
     return Literal(Atom(subject, a.predicate, obj), template.positive)
+
+
+def constants_in_order(literals: Iterable[Literal]) -> tuple[str, ...]:
+    """Constant names in first-appearance order over the literals."""
+    out: dict[str, None] = {}
+    for lit in literals:
+        for e in lit.atom.entities():
+            if not e.variable:
+                out.setdefault(e.name)
+    return tuple(out)
+
+
+def rule_bindings(rule: Rule, known: Mapping[Literal, int], candidates: Sequence[str],
+                  ) -> list[tuple[Binding, tuple[int, ...]]]:
+    """The join: every binding under which each rule condition is a known
+    literal, with the ids of those literals as premises.
+
+    ``known`` maps ground literals to fact ids; the rule variable (if any)
+    tries the candidate constants in the order given.
+    """
+    var = rule.variable()
+    options: list[Binding] = [{}] if var is None else [{var: Entity(c)} for c in candidates]
+    found = []
+    for binding in options:
+        premises = []
+        for cond in rule.conditions:
+            fact_id = known.get(substitute_partial(cond, binding))
+            if fact_id is None:
+                break
+            premises.append(fact_id)
+        else:
+            found.append((binding, tuple(premises)))
+    return found
 
 
 def contradicts(a: Literal, b: Literal) -> bool:
@@ -364,22 +398,9 @@ class KnowledgeBase:
 
     def constants(self) -> tuple[str, ...]:
         """Constant names in first-appearance order over facts, then rules."""
-        out: list[str] = []
-        seen: set[str] = set()
-
-        def take(lit: Literal) -> None:
-            for e in lit.atom.entities():
-                if not e.variable and e.name not in seen:
-                    seen.add(e.name)
-                    out.append(e.name)
-
-        for f in self.facts:
-            take(f.literal)
-        for r in self.rules:
-            for c in r.conditions:
-                take(c)
-            take(r.consequent)
-        return tuple(out)
+        return constants_in_order([*(f.literal for f in self.facts),
+                                   *(lit for r in self.rules
+                                     for lit in (*r.conditions, r.consequent))])
 
     def __len__(self) -> int:
         return len(self.facts)

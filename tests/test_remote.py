@@ -105,7 +105,8 @@ class TestResponseGrammars:
 
     def test_selection_numbers(self):
         payload, _ = parse_module_response(
-            "rule_selection", "Rule Selection:\nPremise 1, something. or\nPremise 2: other.")
+            "rule_select_backward",
+            "Rule Selection:\nPremise 1, something. or\nPremise 2: other.")
         assert payload == [1, 2]
 
     def test_selection_bare_line_numbers(self):
@@ -131,13 +132,9 @@ class TestResponseGrammars:
         assert entry["cited"] == [3]
         assert [str(l) for l in entry["literals"]] == ["chases(cow, lion)"]
 
-    def test_sign_agreement(self):
-        assert parse_module_response("sign_agreement", "Agreement Sign:\nAgree.") == (True, False)
-        assert parse_module_response("sign_agreement", "They disagree.")[0] is False
-
     def test_empty_selection_fails(self):
         with pytest.raises(ResponseParseFailed):
-            parse_module_response("rule_selection", "none of them apply")
+            parse_module_response("rule_select_backward", "none of them apply")
 
 
 class TestRemoteConfig:
