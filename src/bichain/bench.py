@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .engine import ENGINES, EngineConfig, Verdict, evaluate_options, make_backend, replay_validate
 from .language import Label, Problem, load_problems
-from .oracle import oracle_label, premise_prf
+from .oracle import ReferenceProof, oracle_label, premise_prf
 
 LABELS = (Label.PROVED, Label.DISPROVED, Label.UNKNOWN)
 
@@ -114,14 +114,18 @@ def corpus_metadata(problems: list[Problem], paths: tuple[str, ...]) -> dict:
     }
 
 
-def _gold_label(problem: Problem) -> Label | None:
-    """Explicit file label first, then the oracle on symbolic problems."""
-    if problem.gold_label is not None:
-        return problem.gold_label
-    if problem.remote_only or problem.hypothesis is None:
-        return None
-    label, _ = oracle_label(problem)
-    return label
+def _oracle_view(problem: Problem) -> tuple[Label | None, ReferenceProof | None] | Exception:
+    """Gold label (the file's, else the oracle's on symbolic problems) and
+    the oracle's reference proof, from at most one saturation; or the
+    exception the oracle raised, for each engine's isolation to report."""
+    gold = problem.gold_label
+    if problem.remote_only or problem.hypothesis is None or gold is Label.UNKNOWN:
+        return gold, None
+    try:
+        label, reference = oracle_label(problem)
+    except Exception as exc:
+        return exc
+    return gold or label, reference
 
 
 def _trace_filename(meta: str, index: int, engine: str) -> str:
@@ -129,14 +133,17 @@ def _trace_filename(meta: str, index: int, engine: str) -> str:
     return f"{slug}__{engine}.json"
 
 
-def _evaluate_one(index: int, problem: Problem, engine: str, cfg: RunConfig,
-                  ) -> tuple[ProblemResult, dict | None]:
+def _evaluate_one(index: int, problem: Problem, oracle: tuple | Exception, engine: str,
+                  cfg: RunConfig) -> tuple[ProblemResult, dict | None]:
+    """One engine on one problem, given the problem's ``_oracle_view``."""
     prove = ENGINES[engine]
     backend = make_backend(cfg.backend)
     engine_config = cfg.engine_config or EngineConfig()
     name = problem.meta or f"problem{index}"
     try:
-        gold = _gold_label(problem)
+        if isinstance(oracle, Exception):
+            raise oracle
+        gold, reference = oracle
         if problem.options:
             chosen, verdicts = evaluate_options(problem, engine_config, backend,
                                                 engine=engine)
@@ -149,11 +156,8 @@ def _evaluate_one(index: int, problem: Problem, engine: str, cfg: RunConfig,
         result = ProblemResult(name, gold, verdict.label, calls=verdict.calls)
         report = replay_validate(verdict.trace, problem)
         result.valid = bool(report)
-        if result.valid and gold in (Label.PROVED, Label.DISPROVED) \
-                and not problem.remote_only:
-            _, reference = oracle_label(problem)
-            if reference is not None:
-                result.precision, result.recall = premise_prf(verdict.trace, reference)
+        if result.valid and reference is not None:  # the gold label is decisive
+            result.precision, result.recall = premise_prf(verdict.trace, reference)
         return result, verdict.trace.to_json()
     except Exception as exc:  # isolation: one bad problem never kills a sweep
         return ProblemResult(name, None, None, error=f"{type(exc).__name__}: {exc}"), None
@@ -177,9 +181,10 @@ def run_bench(cfg: RunConfig) -> dict:
     trace_dir = Path(cfg.trace_dir) if cfg.trace_dir else None
     if trace_dir:
         trace_dir.mkdir(parents=True, exist_ok=True)
+    oracles = [_oracle_view(p) for p in problems]  # shared by every engine
     for engine in cfg.engines:
         def job(item: tuple[int, Problem]):
-            return _evaluate_one(item[0], item[1], engine, cfg)
+            return _evaluate_one(item[0], item[1], oracles[item[0]], engine, cfg)
 
         if cfg.parallelism > 1:
             with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:

@@ -32,6 +32,7 @@ from .modules import (
     RuleSelection,
     SymbolicBackend,
     deserialize_binding,
+    variant_key,
 )
 from .terms import (
     Binding,
@@ -249,7 +250,7 @@ def _evaluate(engine: str, search: Callable[[_Run, EngineConfig], tuple[Label, d
 
 
 # --------------------------------------------------------------------------
-# Goal frontier bookkeeping (bidirectional backward phase)
+# Goal frontier (bidirectional backward phase and its trace replay)
 # --------------------------------------------------------------------------
 
 
@@ -263,57 +264,73 @@ class _Node:
     env: Binding = field(default_factory=dict)
     new_goals: tuple[Literal, ...] = ()
     tried: set[Literal] = field(default_factory=set)
+    # variant keys of the goals expanded on the way from the root to here;
+    # a goal among them is a loop and is not expanded again
+    ancestors: frozenset[str] = frozenset()
 
 
-class _VarNamer:
-    def __init__(self) -> None:
-        self.count = 0
+class _Frontier:
+    """Every node of bi's backward search by id, and the one expansion rule.
 
-    def fresh(self) -> Entity:
-        self.count += 1
-        return Entity(f"x{self.count}", variable=True)
-
-
-def expand_node(parent_goals: tuple[Goal, ...], expanded: Literal,
-                module_sets: tuple[GoalSet, ...], namer: _VarNamer,
-                ) -> list[tuple[GoalSet, tuple[Literal, ...], Binding]]:
-    """Merge module goal sets into the parent conjunction.
-
-    Per alternative: rename rule-local variables to fresh scopes, apply the
-    consequent's commitments to the carried sibling goals, and put the new
-    sub-goals first (depth-first order).  Returns (merged set, new goal
-    literals, commitment binding) per alternative; the same routine drives
-    both the engine and trace replay.
+    The engine and trace replay both drive it, so replay recomputes each
+    recorded abduction's children, ids included, as the engine made them.
     """
-    goal_vars = expanded.variables()
-    out = []
-    for gs in module_sets:
-        commitments = deserialize_binding(gs.commitments)
-        rename: Binding = {}
-        new_goals: list[Goal] = []
-        for g in gs.goals:
-            lit = g.literal
-            for v in lit.variables():
-                if v not in goal_vars and v not in rename:
-                    rename[v] = namer.fresh()
-            lit = substitute_partial(lit, rename)
-            lit = substitute_partial(lit, commitments)
-            new_goals.append(Goal(lit))
-        carried: list[Goal] = []
-        for g in parent_goals:
-            if g.literal == expanded:
+
+    def __init__(self, q: Literal):
+        root = _Node(id=1, gs=GoalSet((Goal(q),)))
+        self.nodes = {root.id: root}
+        self.seen = {root.gs.signature()}
+        self.fresh = 0
+
+    def expand(self, node: _Node, goal: Literal,
+               module_sets: tuple[GoalSet, ...]) -> list[_Node]:
+        """Merge module goal sets into the node's conjunction; returns the
+        children whose merged set was not seen before.
+
+        Per alternative: rename rule-local variables to fresh scopes, apply
+        the consequent's commitments to the carried sibling goals, and put
+        the new sub-goals first (depth-first order).
+        """
+        goal_vars = goal.variables()
+        ancestors = node.ancestors | {variant_key(goal)}
+        children = []
+        for gs in module_sets:
+            commitments = deserialize_binding(gs.commitments)
+            rename: Binding = {}
+            new_goals: list[Goal] = []
+            for g in gs.goals:
+                lit = g.literal
+                for v in lit.variables():
+                    if v not in goal_vars and v not in rename:
+                        self.fresh += 1
+                        rename[v] = Entity(f"x{self.fresh}", variable=True)
+                lit = substitute_partial(lit, rename)
+                new_goals.append(Goal(substitute_partial(lit, commitments)))
+            carried: list[Goal] = []
+            for g in node.gs.goals:
+                if g.literal == goal:
+                    continue
+                lit = substitute_partial(g.literal, commitments)
+                carried.append(Goal(lit) if lit != g.literal else g)
+            # one entry per literal; statuses are recomputed at every fact check
+            by_literal: dict[Literal, Goal] = {}
+            for g in (*new_goals, *carried):
+                by_literal.setdefault(g.literal, g)
+            merged = GoalSet(tuple(by_literal.values()),
+                             origin_rule=gs.origin_rule, target=gs.target,
+                             unifier=gs.unifier, commitments=gs.commitments)
+            sig = merged.signature()
+            if sig in self.seen:
                 continue
-            lit = substitute_partial(g.literal, commitments)
-            carried.append(Goal(lit) if lit != g.literal else g)
-        # one entry per literal; statuses are recomputed at every fact check
-        by_literal: dict[Literal, Goal] = {}
-        for g in (*new_goals, *carried):
-            by_literal.setdefault(g.literal, g)
-        merged = GoalSet(tuple(by_literal.values()),
-                         origin_rule=gs.origin_rule, target=gs.target,
-                         unifier=gs.unifier, commitments=gs.commitments)
-        out.append((merged, tuple(g.literal for g in new_goals), commitments))
-    return out
+            self.seen.add(sig)
+            child = _Node(id=len(self.nodes) + 1, gs=merged, parent=node,
+                          expanded_goal=goal, rule_id=gs.origin_rule,
+                          env={**node.env, **commitments},
+                          new_goals=tuple(g.literal for g in new_goals),
+                          ancestors=ancestors)
+            self.nodes[child.id] = child
+            children.append(child)
+        return children
 
 
 def _resolution_tree(node: _Node, q: Literal) -> dict:
@@ -354,6 +371,13 @@ def prove_bidirectional(problem: Problem, config: EngineConfig | None = None,
     direction that provably cannot move again (forward after a stall with no
     new facts, backward with nothing left to expand) is not revisited; when
     both are in that state the verdict is Unknown.
+
+    Deviation from the paper, whose engine switches only on confusion: a
+    goal that is a variant (equal up to variable renaming) of one expanded
+    on its node's ancestor chain is never expanded again.  Without this loop
+    check a cyclic rule chain whose abductions each yield a single goal set
+    (so never a confusion) drew the backward side down until the budget ran
+    out.
     """
     return _evaluate("bi", _search_bidirectional, problem, config, backend)
 
@@ -374,11 +398,8 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
     if res.label is not Label.UNKNOWN:
         return res.label, _fact_resolution(res)
 
-    namer = _VarNamer()
-    root = _Node(id=1, gs=GoalSet((Goal(q),)))
-    frontier: list[_Node] = [root]
-    seen_sigs = {root.gs.signature()}
-    next_node_id = 2
+    frontier = _Frontier(q)
+    live: list[_Node] = [frontier.nodes[1]]  # open alternatives, in search order
     norule: set[Literal] = set()
 
     direction = start
@@ -387,23 +408,23 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
     backward_done = False
 
     def frontier_check() -> FactCheckResult:
-        result = backend.fact_check(tuple(n.gs for n in frontier), run.kb)
+        result = backend.fact_check(tuple(n.gs for n in live), run.kb)
         nodes_payload = []
-        for node, gs in zip(frontier, result.goalsets):
+        for node, gs in zip(live, result.goalsets):
             node.gs = gs
             nodes_payload.append({"node": node.id, **_set_payload(gs),
                                   "goals": [_goal_payload(g) for g in gs.goals]})
-        satisfied_node = frontier[result.satisfied].id if result.satisfied is not None else None
+        satisfied_node = live[result.satisfied].id if result.satisfied is not None else None
         run.record(Direction.BACKWARD, "fact_check",
                    {"kind": "goals", "label": result.label.value,
                     "satisfied": satisfied_node, "nodes": nodes_payload})
         return result
 
     def pick_node() -> tuple[_Node, tuple[Literal, ...]] | None:
-        """Most promising frontier node with open goals worth expanding:
+        """Most promising live node with open goals worth expanding:
         fewest remaining open goals, ties by node id (depth-first order)."""
         best: tuple[int, int, _Node, tuple[Literal, ...]] | None = None
-        for node in frontier:
+        for node in live:
             open_count = 0
             candidates = []
             for goal in node.gs.goals:
@@ -411,7 +432,7 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
                     continue
                 open_count += 1
                 lit = goal.literal
-                if lit in norule or lit in node.tried:
+                if lit in norule or lit in node.tried or variant_key(lit) in node.ancestors:
                     continue
                 if lit.is_ground and run.kb.entailed(lit) is Entailment.HOLDS:
                     continue  # newly derived facts close it at the next check
@@ -429,7 +450,7 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
             # the goal is whatever the backward side still needs (Q starts as
             # the hypothesis consequent and is reassigned by each abduction)
             targets: list[Literal] = []
-            for n in frontier:
+            for n in live:
                 for g in n.gs.goals:
                     if g.status is GoalStatus.OPEN and g.literal not in targets:
                         targets.append(g.literal)
@@ -482,8 +503,8 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
                 # closure sweep: forward facts may have completed a goal set
                 result = frontier_check()
                 if result.satisfied is not None:
-                    return Label.PROVED, _resolution_tree(frontier[result.satisfied], q)
-                frontier = [n for n in frontier if not n.gs.failed]
+                    return Label.PROVED, _resolution_tree(live[result.satisfied], q)
+                live = [n for n in live if not n.gs.failed]
                 backward_done = True
                 if forward_dead:
                     return Label.UNKNOWN, None
@@ -511,33 +532,20 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
             if expand_goal is not None:
                 module_sets = backend.logic_abduce(
                     expand_goal, RuleSelection(expand_rules), run.kb)
-                merged = expand_node(node.gs.goals, expand_goal, module_sets, namer)
-                children: list[_Node] = []
-                for gs, new_goals, commitments in merged:
-                    sig = gs.signature()
-                    if sig in seen_sigs:
-                        continue
-                    seen_sigs.add(sig)
-                    env = dict(node.env)
-                    env.update(commitments)
-                    children.append(_Node(id=next_node_id, gs=gs, parent=node,
-                                          expanded_goal=expand_goal,
-                                          rule_id=gs.origin_rule, env=env,
-                                          new_goals=new_goals))
-                    next_node_id += 1
+                children = frontier.expand(node, expand_goal, module_sets)
                 run.record(direction, "logic_abduce",
                            {"node": node.id, "goal": term_string(expand_goal),
                             "sets": [_set_payload(gs) for gs in module_sets],
                             "children": [c.id for c in children]})
                 if children:
-                    at = frontier.index(node)
-                    frontier[at:at + 1] = children
+                    at = live.index(node)
+                    live[at:at + 1] = children
                 else:
                     node.tried.add(expand_goal)
             result = frontier_check()
             if result.satisfied is not None:
-                return Label.PROVED, _resolution_tree(frontier[result.satisfied], q)
-            frontier = [n for n in frontier if not n.gs.failed]
+                return Label.PROVED, _resolution_tree(live[result.satisfied], q)
+            live = [n for n in live if not n.gs.failed]
             confusion = False
             if module_sets:
                 confusion = backend.confusion_check(module_sets)
@@ -798,8 +806,9 @@ def replay_validate(trace: ProofTrace, problem: Problem,
     """Re-validate a proof trace against the problem it came from.
 
     Every deduction must re-derive from the reconstructed fact set, every
-    abduction must match its origin rule under the recorded unifier, every
-    fact-check claim must point at a real matching fact, and a decisive final
+    abduction must match its origin rule under the recorded unifier and
+    yield the recorded frontier children, every fact-check claim must point
+    at a real matching fact, and a decisive final
     label must be backed by a valid resolution (the hallucination detector
     for remote-backend traces).  Reports the first invalid step on failure.
     """
@@ -811,10 +820,7 @@ def replay_validate(trace: ProofTrace, problem: Problem,
         kb = kb.add_given(lit)
     q = hypothesis.consequent
     rule_ids = {r.id for r in kb.rules}
-    namer = _VarNamer()
-    root = GoalSet((Goal(q),))
-    nodes: dict[int, GoalSet] = {1: root}
-    seen_sigs = {root.signature()}
+    frontier = _Frontier(q)
     last_index = 0
 
     def fail(step: TraceStep, reason: str) -> ReplayReport:
@@ -826,7 +832,7 @@ def replay_validate(trace: ProofTrace, problem: Problem,
         last_index = step.index
         p = step.payload
         try:
-            report = _replay_step(step, p, kb, rule_ids, nodes, seen_sigs, namer, fail)
+            report = _replay_step(step, p, kb, rule_ids, frontier, fail)
         except Exception as exc:
             return fail(step, f"malformed step: {exc}")
         if isinstance(report, ReplayReport):
@@ -839,7 +845,7 @@ def replay_validate(trace: ProofTrace, problem: Problem,
         return ReplayReport(False, None, f"malformed resolution: {exc}")
 
 
-def _replay_step(step, p, kb, rule_ids, nodes, seen_sigs, namer, fail):
+def _replay_step(step, p, kb, rule_ids, frontier, fail):
     """Validate one recorded step; returns a failure report, an updated
     knowledge base (after a deduction), or None."""
     if step.module == "fact_identify":
@@ -891,22 +897,12 @@ def _replay_step(step, p, kb, rule_ids, nodes, seen_sigs, namer, fail):
                                        commitments=tuple((n, v) for n, v in s.get("commitments", []))))
         parent_id = p.get("node")
         if parent_id is not None:
-            parent = nodes.get(parent_id)
+            parent = frontier.nodes.get(parent_id)
             if parent is None:
                 return fail(step, f"unknown frontier node {parent_id}")
-            merged = expand_node(parent.goals, goal, tuple(module_sets), namer)
-            kept = []
-            for gs, _, _ in merged:  # mirror the engine's duplicate filter
-                sig = gs.signature()
-                if sig in seen_sigs:
-                    continue
-                seen_sigs.add(sig)
-                kept.append(gs)
-            child_ids = p.get("children", [])
-            if len(child_ids) != len(kept):
+            children = frontier.expand(parent, goal, tuple(module_sets))
+            if p.get("children", []) != [c.id for c in children]:
                 return fail(step, "recorded children disagree with the recomputed expansion")
-            for cid, gs in zip(child_ids, kept):
-                nodes[cid] = gs
     elif step.module == "fact_check":
         if p.get("kind") == "hypothesis":
             target = literal_from_term(p["target"])

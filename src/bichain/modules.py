@@ -124,14 +124,17 @@ class GoalSet:
     def signature(self) -> tuple[str, ...]:
         """Content key with variables renamed by first appearance (for dedup)."""
         names: dict[Entity, Entity] = {}
-        parts = []
-        for g in self.goals:
-            lit = g.literal
-            for e in lit.atom.entities():
-                if e.variable and e not in names:
-                    names[e] = Entity(f"v{len(names)}", variable=True)
-            parts.append(str(substitute_partial(lit, names)))
-        return tuple(sorted(parts))
+        return tuple(sorted(variant_key(g.literal, names) for g in self.goals))
+
+
+def variant_key(literal: Literal, names: dict[Entity, Entity] | None = None) -> str:
+    """The literal with variables renamed by first appearance, continuing
+    ``names``; two literals are variants when their keys are equal."""
+    names = {} if names is None else names
+    for e in literal.atom.entities():
+        if e.variable and e not in names:
+            names[e] = Entity(f"v{len(names)}", variable=True)
+    return str(substitute_partial(literal, names))
 
 
 @dataclass(frozen=True)

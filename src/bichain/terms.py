@@ -352,6 +352,8 @@ class KnowledgeBase:
         return cls(tuple(facts), rules)
 
     def fact(self, fact_id: int) -> Fact:
+        if not 1 <= fact_id <= len(self.facts):
+            raise IndexError(f"fact id {fact_id} outside 1..{len(self.facts)}")
         return self.facts[fact_id - 1]
 
     def rule(self, rule_id: int) -> Rule:

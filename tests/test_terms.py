@@ -148,6 +148,12 @@ class TestKnowledgeBase:
             if not fact.given:
                 assert all(kb.fact(p).depth < fact.depth for p in fact.premises)
 
+    @pytest.mark.parametrize("fact_id", [0, -1, 3])
+    def test_fact_id_out_of_range_raises(self, fact_id):
+        kb = KnowledgeBase.from_literals([attr("cow", "blue"), attr("cow", "big")])
+        with pytest.raises(IndexError):
+            kb.fact(fact_id)  # ids are 1-based; 0 is not the last fact
+
     def test_constants_in_first_appearance_order(self):
         kb = KnowledgeBase.from_literals(
             [rel("sees", "tiger", "cow"), attr("bear", "blue")])
