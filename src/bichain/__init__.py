@@ -48,7 +48,7 @@ from .modules import (
     RuleSelection,
     SymbolicBackend,
 )
-from .oracle import Closure, ReferenceProof, oracle_label, premise_prf, saturate
+from .oracle import ReferenceProof, oracle_label, premise_prf, saturate
 from .terms import (
     Atom,
     Entity,

@@ -31,6 +31,7 @@ from .modules import (
     RelevantFacts,
     RuleSelection,
     SymbolicBackend,
+    abduce_goal_set,
     deserialize_binding,
     variant_key,
 )
@@ -41,11 +42,10 @@ from .terms import (
     Fact,
     KnowledgeBase,
     Literal,
-    Rule,
+    instance_binding,
     literal_from_term,
     substitute_partial,
     term_string,
-    unify,
 )
 
 
@@ -72,17 +72,10 @@ class TraceStep:
     direction: str
     module: str
     payload: dict
-    confusion: bool | None = None
-    note: str = ""
 
     def to_json(self) -> dict:
-        out = {"index": self.index, "direction": self.direction,
-               "module": self.module, **self.payload}
-        if self.confusion is not None:
-            out["confusion"] = self.confusion
-        if self.note:
-            out["note"] = self.note
-        return out
+        return {"index": self.index, "direction": self.direction,
+                "module": self.module, **self.payload}
 
 
 @dataclass
@@ -111,9 +104,7 @@ class ProofTrace:
             index = raw.pop("index")
             direction = raw.pop("direction")
             module = raw.pop("module")
-            confusion = raw.pop("confusion", None)
-            note = raw.pop("note", "")
-            steps.append(TraceStep(index, direction, module, raw, confusion, note))
+            steps.append(TraceStep(index, direction, module, raw))
         label = Label.parse(doc["label"]) if doc.get("label") else None
         return cls(engine=doc.get("engine", ""), problem=doc.get("problem", ""),
                    steps=steps, label=label, resolution=doc.get("resolution"))
@@ -202,13 +193,12 @@ class _Run:
             self.warnings.append("InconsistentKB: a literal and its negation are both present")
         self.trace = ProofTrace(engine=engine, problem=problem.meta)
 
-    def record(self, direction: Direction, module: str, payload: dict,
-               confusion: bool | None = None) -> None:
+    def record(self, direction: Direction, module: str, payload: dict) -> None:
         raw = self.backend.drain_responses()
         if raw:
             payload = {**payload, "responses": raw}
         self.trace.steps.append(TraceStep(len(self.trace.steps) + 1, direction.value,
-                                          module, payload, confusion))
+                                          module, payload))
 
     def check(self, direction: Direction, hypothesis: Hypothesis) -> FactCheckResult:
         """Fact-check a hypothesis against the working knowledge base."""
@@ -480,7 +470,7 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
                 confusion = backend.confusion_check(step)
                 run.record(direction, "confusion_check",
                            {"kind": "deduction", "count": len(step.derived),
-                            "confusion": confusion}, confusion=confusion)
+                            "confusion": confusion})
             stalled = not step.derived
             if stalled:
                 if not widened and len(relevant_ids) < len(run.kb.facts):
@@ -551,7 +541,7 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
                 confusion = backend.confusion_check(module_sets)
                 run.record(direction, "confusion_check",
                            {"kind": "abduction", "count": len(module_sets),
-                            "confusion": confusion}, confusion=confusion)
+                            "confusion": confusion})
             if confusion and not forward_dead:
                 direction = Direction.FORWARD
     return Label.UNKNOWN, None
@@ -757,42 +747,21 @@ class ReplayReport:
         return self.ok
 
 
-def _solve_rule_binding(rule: Rule, ground_conditions: list[Literal],
-                        conclusion: Literal) -> bool:
-    """Does one single-variable binding instantiate the rule to these parts?"""
-    if len(ground_conditions) != len(rule.conditions):
-        return False
-    binding: Binding = {}
-    for template, ground in zip(rule.conditions, ground_conditions):
-        b = unify(template, ground)
-        if b is None:
-            return False
-        for v, e in b.items():
-            if binding.setdefault(v, e) != e:
-                return False
-    try:
-        instantiated = substitute_partial(rule.consequent, binding)
-    except Exception:
-        return False
-    return instantiated == conclusion and instantiated.is_ground
-
-
 def _validate_tree(root: dict, kb: KnowledgeBase) -> str | None:
     """Check a ground proof tree: fact leaves exist, rule nodes instantiate."""
     literal = literal_from_term(root["literal"])
     if "fact" in root and "rule" not in root:
-        fact_id = root["fact"]
-        if fact_id is None or not (1 <= fact_id <= len(kb.facts)):
-            return f"missing evidence fact for {root['literal']}"
-        if kb.fact(fact_id).literal != literal:
-            return f"evidence fact {fact_id} does not match {root['literal']}"
+        if not kb.has_fact(root["fact"], literal):
+            return f"evidence fact {root['fact']} does not match {root['literal']}"
         return None
     rule_id = root.get("rule")
     if rule_id is None or rule_id not in {r.id for r in kb.rules}:
         return f"unknown rule for {root['literal']}"
+    rule = kb.rule(rule_id)
     children = root.get("children", [])
-    child_literals = [literal_from_term(c["literal"]) for c in children]
-    if not _solve_rule_binding(kb.rule(rule_id), child_literals, literal):
+    binding = instance_binding(rule, [literal_from_term(c["literal"]) for c in children])
+    if binding is None or not literal.is_ground \
+            or substitute_partial(rule.consequent, binding) != literal:
         return f"rule {rule_id} does not derive {root['literal']} from its children"
     for child in children:
         err = _validate_tree(child, kb)
@@ -805,12 +774,14 @@ def replay_validate(trace: ProofTrace, problem: Problem,
                     hypothesis: Hypothesis | None = None) -> ReplayReport:
     """Re-validate a proof trace against the problem it came from.
 
-    Every deduction must re-derive from the reconstructed fact set, every
-    abduction must match its origin rule under the recorded unifier and
-    yield the recorded frontier children, every fact-check claim must point
-    at a real matching fact, and a decisive final
-    label must be backed by a valid resolution (the hallucination detector
-    for remote-backend traces).  Reports the first invalid step on failure.
+    Every selection must cite existing rules, every deduction must
+    re-derive from the reconstructed fact set, every abduced goal set must
+    be the one its origin rule's consequent gives the step's goal and yield
+    the recorded frontier children, every fact-check claim must point at a
+    real matching fact (a satisfied node at one whose goals are all proven),
+    and a decisive final label must be backed by a valid resolution (the
+    hallucination detector for remote-backend traces).  Reports the first
+    invalid step on failure.
     """
     hypothesis = hypothesis or problem.hypothesis
     if hypothesis is None:
@@ -852,6 +823,12 @@ def _replay_step(step, p, kb, rule_ids, frontier, fail):
         ids = p.get("facts", [])
         if not all(1 <= i <= len(kb.facts) for i in ids):
             return fail(step, "identified facts outside the knowledge base")
+    elif step.module in ("rule_select_forward", "rule_select_backward"):
+        cited = {*p.get("rules", []), p.get("bridge"),
+                 *(i for _, ids in p.get("by_goal", []) for i in ids)}
+        unknown = cited - rule_ids - {None}
+        if unknown:
+            return fail(step, f"unknown rules {sorted(unknown, key=str)}")
     elif step.module == "logic_deduce":
         entries = []
         for d in p.get("derived", []):
@@ -861,17 +838,13 @@ def _replay_step(step, p, kb, rule_ids, frontier, fail):
                 return fail(step, f"unknown rule {rid}")
             rule = kb.rule(rid)
             premises = tuple(d.get("premises", ()))
-            if len(premises) != len(rule.conditions) or not premises:
+            if len(premises) != len(rule.conditions):
                 return fail(step, f"rule {rid} needs {len(rule.conditions)} premises")
-            binding = deserialize_binding(tuple((n, v) for n, v in d.get("binding", [])))
+            binding = deserialize_binding(d.get("binding", []))
             for cond, pid in zip(rule.conditions, premises):
-                if not (1 <= pid <= len(kb.facts)):
-                    return fail(step, f"premise {pid} not yet derived")
-                expected = substitute_partial(cond, binding)
-                if not expected.is_ground or kb.fact(pid).literal != expected:
+                if not kb.has_fact(pid, substitute_partial(cond, binding)):
                     return fail(step, f"premise {pid} does not entail {cond}")
-            conclusion = substitute_partial(rule.consequent, binding)
-            if conclusion != literal:
+            if substitute_partial(rule.consequent, binding) != literal:
                 return fail(step, f"rule {rid} does not conclude {d['term']}")
             if kb.lookup(literal) is not None:
                 return fail(step, f"derived fact {d['term']} is not novel")
@@ -885,16 +858,10 @@ def _replay_step(step, p, kb, rule_ids, frontier, fail):
             rid = s.get("origin_rule")
             if rid not in rule_ids:
                 return fail(step, f"unknown rule {rid}")
-            rule = kb.rule(rid)
-            unifier = deserialize_binding(tuple((n, v) for n, v in s.get("unifier", [])))
-            goals = tuple(literal_from_term(t) for t in s.get("goals", []))
-            expected = tuple(substitute_partial(c, unifier) for c in rule.conditions)
-            if expected != goals:
-                return fail(step, f"goal set does not match rule {rid} under its unifier")
-            module_sets.append(GoalSet(tuple(Goal(g) for g in goals),
-                                       origin_rule=rid, target=goal,
-                                       unifier=tuple((n, v) for n, v in s.get("unifier", [])),
-                                       commitments=tuple((n, v) for n, v in s.get("commitments", []))))
+            gs = abduce_goal_set(kb.rule(rid), goal)
+            if gs is None or s != _set_payload(gs):
+                return fail(step, f"goal set is not what rule {rid} gives {p['goal']}")
+            module_sets.append(gs)
         parent_id = p.get("node")
         if parent_id is not None:
             parent = frontier.nodes.get(parent_id)
@@ -913,22 +880,24 @@ def _replay_step(step, p, kb, rule_ids, frontier, fail):
             if mapping[expected] != p.get("label"):
                 return fail(step, f"fact check of {p['target']} should be {mapping[expected]}")
         else:
-            for rendered in p.get("nodes", []):
+            nodes = p.get("nodes", [])
+            for rendered in nodes:
                 for g in rendered.get("goals", []):
                     status = g.get("status")
                     literal = literal_from_term(g["term"])
-                    binding = deserialize_binding(tuple((n, v) for n, v in g.get("binding", [])))
-                    grounded = substitute_partial(literal, binding)
+                    grounded = substitute_partial(literal, deserialize_binding(g.get("binding", [])))
                     if status == GoalStatus.PROVEN.value:
-                        fid = g.get("fact")
-                        if fid is None or not (1 <= fid <= len(kb.facts)) \
-                                or kb.fact(fid).literal != grounded:
+                        if not kb.has_fact(g.get("fact"), grounded):
                             return fail(step, f"goal {g['term']} lacks a matching fact")
                     elif status == GoalStatus.CONTRADICTED.value:
-                        fid = g.get("fact")
-                        if fid is None or not (1 <= fid <= len(kb.facts)) \
-                                or kb.fact(fid).literal != grounded.negated():
+                        if not kb.has_fact(g.get("fact"), grounded.negated()):
                             return fail(step, f"goal {g['term']} lacks a contradicting fact")
+            satisfied = p.get("satisfied")
+            if satisfied is not None and not any(
+                    n.get("node") == satisfied and all(g.get("status") == GoalStatus.PROVEN.value
+                                                       for g in n.get("goals", []))
+                    for n in nodes):
+                return fail(step, f"satisfied node {satisfied} is not a fully proven node here")
     return None
 
 
@@ -939,8 +908,7 @@ def _replay_finish(trace: ProofTrace, kb: KnowledgeBase, q: Literal) -> ReplayRe
     expected = q if trace.label is Label.PROVED else q.negated()
     res = trace.resolution or {}
     if res.get("kind") == "fact":
-        fid = res.get("fact")
-        if fid is None or not (1 <= fid <= len(kb.facts)) or kb.fact(fid).literal != expected:
+        if not kb.has_fact(res.get("fact"), expected):
             return ReplayReport(False, None, "decisive label lacks matching fact evidence")
         return ReplayReport(True)
     if res.get("kind") == "tree":

@@ -14,6 +14,7 @@ invocation is one inference call, whichever backend serves it.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from typing import Protocol
 
@@ -159,7 +160,8 @@ def serialize_binding(binding: Binding) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((v.name, str(e)) for v, e in binding.items()))
 
 
-def deserialize_binding(pairs: tuple[tuple[str, str], ...]) -> Binding:
+def deserialize_binding(pairs: Iterable[Sequence[str]]) -> Binding:
+    """Inverse of serialize_binding; takes trace payload pair lists as they are."""
     out: Binding = {}
     for name, value in pairs:
         entity = Entity(value[1:], variable=True) if value.startswith("?") else Entity(value)
@@ -214,6 +216,36 @@ def match_consequent(rule: Rule, goal: Literal) -> ConsequentMatch | None:
         if target.variable and target in commitments:
             rule_binding[v] = commitments[target]
     return ConsequentMatch(rule_binding, commitments)
+
+
+def abduce_goal_set(rule: Rule, goal: Literal) -> GoalSet | None:
+    """The goal set proving ``goal`` through ``rule``: its conditions under the
+    consequent's match, or None when the consequent does not match the goal.
+
+    Conditions whose variable the unifier leaves free stay templates; the
+    caller scopes them.  Commitments capture goal variables forced by
+    constants in the consequent.
+    """
+    match = match_consequent(rule, goal)
+    if match is None:
+        return None
+    return GoalSet(tuple(Goal(substitute_partial(c, match.rule_binding))
+                         for c in rule.conditions),
+                   origin_rule=rule.id, target=goal,
+                   unifier=serialize_binding(match.rule_binding),
+                   commitments=serialize_binding(match.commitments))
+
+
+def select_by_goal(goals: tuple[Literal, ...], rules: Sequence[Rule]) -> RuleSelection:
+    """Backward selection: the given rules grouped per goal by whether their
+    consequent matches it; the selection keeps the matched ones in order."""
+    by_goal = []
+    ordered: dict[int, None] = {}
+    for goal in goals:
+        ids = tuple(r.id for r in rules if match_consequent(r, goal) is not None)
+        by_goal.append((goal, ids))
+        ordered.update(dict.fromkeys(ids))
+    return RuleSelection(tuple(ordered), by_goal=tuple(by_goal))
 
 
 class ModuleBackend(Protocol):
@@ -331,15 +363,7 @@ class SymbolicBackend:
 
     def rule_select_backward(self, goals: tuple[Literal, ...], kb: KnowledgeBase) -> RuleSelection:
         """Rules whose consequent unifies with any of the open goals."""
-        by_goal = []
-        ordered: list[int] = []
-        for goal in goals:
-            ids = tuple(r.id for r in kb.rules if match_consequent(r, goal) is not None)
-            by_goal.append((goal, ids))
-            for i in ids:
-                if i not in ordered:
-                    ordered.append(i)
-        return RuleSelection(tuple(ordered), by_goal=tuple(by_goal))
+        return select_by_goal(goals, kb.rules)
 
     # -- deduction / abduction ----------------------------------------------
 
@@ -369,23 +393,13 @@ class SymbolicBackend:
 
     def logic_abduce(self, goal: Literal, selection: RuleSelection,
                      kb: KnowledgeBase) -> tuple[GoalSet, ...]:
-        """One goal set per selected rule: its conditions under the unifier.
-
-        Conditions whose variable the unifier leaves free stay templates; the
-        caller scopes them.  Commitments capture goal variables forced by
-        constants in the consequent.
-        """
+        """One goal set per selected rule (see abduce_goal_set)."""
         out = []
         for rule_id in selection.rule_ids:
-            rule = kb.rule(rule_id)
-            match = match_consequent(rule, goal)
-            if match is None:
+            gs = abduce_goal_set(kb.rule(rule_id), goal)
+            if gs is None:
                 raise ValueError(f"rule {rule_id} does not unify with {goal}")
-            goals = tuple(Goal(substitute_partial(c, match.rule_binding))
-                          for c in rule.conditions)
-            out.append(GoalSet(goals, origin_rule=rule.id, target=goal,
-                               unifier=serialize_binding(match.rule_binding),
-                               commitments=serialize_binding(match.commitments)))
+            out.append(gs)
         return tuple(out)
 
     # -- fact check ----------------------------------------------------------

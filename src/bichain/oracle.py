@@ -1,101 +1,61 @@
 """Ground truth by exhaustive forward saturation.
 
-The closure holds every derivable fact at its minimal depth together with
-all minimal-depth derivation alternatives, which is enough to label any
-hypothesis and to extract a canonical reference proof.  Premise precision
-and recall against that reference use exact rational arithmetic.
+The closure is a knowledge base holding every derivable fact at its minimal
+depth, each citing one canonical derivation (lowest rule id, then smallest
+premise ids), which is enough to label any hypothesis and to extract a
+reference proof.  Premise precision and recall against that reference use
+exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import Direction, ProofTrace, TraceStep
 from .language import Hypothesis, Label, Problem, render_literal
 from .terms import (
-    Binding,
+    Fact,
     KnowledgeBase,
     Literal,
     constants_in_order,
+    instance_binding,
     rule_bindings,
     substitute_partial,
     term_string,
 )
 
 
-@dataclass(frozen=True)
-class ClosureFact:
-    """One derivable literal: minimal depth plus every derivation reaching it
-    at that depth (rule id, premise closure-fact ids)."""
-
-    id: int
-    literal: Literal
-    depth: int
-    derivations: tuple[tuple[int, tuple[int, ...]], ...] = ()
-
-    @property
-    def given(self) -> bool:
-        return not self.derivations
-
-
-@dataclass
-class Closure:
-    """Saturation fixpoint: applying any rule yields nothing new."""
-
-    facts: tuple[ClosureFact, ...]
-    consistent: bool
-    _by_literal: dict[Literal, ClosureFact] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self._by_literal = {f.literal: f for f in self.facts}
-
-    def lookup(self, literal: Literal) -> ClosureFact | None:
-        return self._by_literal.get(literal)
-
-    def fact(self, fact_id: int) -> ClosureFact:
-        return self.facts[fact_id - 1]
-
-    def __len__(self) -> int:
-        return len(self.facts)
-
-
-def saturate(kb: KnowledgeBase) -> Closure:
+def saturate(kb: KnowledgeBase) -> KnowledgeBase:
     """Breadth-layered fixpoint: layer k holds exactly the facts of minimal
-    depth k, each with all of its depth-k derivations.
+    depth k, each citing its canonical depth-k derivation (lowest rule id,
+    then smallest premise ids).  Applying any rule to the result yields
+    nothing new.
 
     Terminates because the ground literal space is finite (constants times
     adjectives plus constant pairs times verbs, both signs).
     """
-    facts: list[ClosureFact] = [
-        ClosureFact(f.id, f.literal, 0) for f in kb.facts
-    ]
+    facts = list(kb.facts)
     known: dict[Literal, int] = {f.literal: f.id for f in facts}
-    consistent = all(f.literal.negated() not in known for f in facts)
 
     while True:
         candidates = constants_in_order(known)
-        found: dict[Literal, list[tuple[int, tuple[int, ...]]]] = {}
+        found: dict[Literal, tuple[int, tuple[int, ...]]] = {}
         for rule in kb.rules:
             for binding, premises in rule_bindings(rule, known, candidates):
                 conclusion = substitute_partial(rule.consequent, binding)
                 if conclusion in known:
                     continue
-                derivations = found.setdefault(conclusion, [])
-                if (rule.id, premises) not in derivations:
-                    derivations.append((rule.id, premises))
+                best = found.get(conclusion)
+                if best is None or (rule.id, premises) < best:
+                    found[conclusion] = (rule.id, premises)
         if not found:
             break
-        for literal, derivations in found.items():
-            derivations = tuple(sorted(derivations))
-            depth = 1 + max(max(facts[p - 1].depth for p in premises)
-                            for _, premises in derivations)
-            entry = ClosureFact(len(facts) + 1, literal, depth, derivations)
-            facts.append(entry)
-            known[literal] = entry.id
-            if literal.negated() in known:
-                consistent = False
-    return Closure(tuple(facts), consistent)
+        for literal, (rule_id, premises) in found.items():
+            depth = 1 + max(facts[p - 1].depth for p in premises)
+            facts.append(Fact(len(facts) + 1, literal, rule_id, premises, depth))
+            known[literal] = len(facts)
+    return KnowledgeBase(tuple(facts), kb.rules)
 
 
 @dataclass(frozen=True)
@@ -194,29 +154,22 @@ def oracle_label(problem: Problem, hypothesis: Hypothesis | None = None,
     return Label.UNKNOWN, None
 
 
-def extract_reference(closure: Closure, target: ClosureFact,
+def extract_reference(closure: KnowledgeBase, target: Fact,
                       kb: KnowledgeBase) -> ReferenceProof:
-    """Minimal-depth proof tree; alternatives break ties by lowest rule id,
-    then lexicographically smallest premise ids."""
-    from .terms import unify
-
+    """Minimal-depth proof tree following each fact's canonical derivation."""
     memo: dict[int, ProofNode] = {}
 
-    def build(entry: ClosureFact) -> ProofNode:
+    def build(entry: Fact) -> ProofNode:
         cached = memo.get(entry.id)
         if cached is not None:
             return cached
         if entry.given:
             node = ProofNode(entry.literal, entry.id)
         else:
-            rule_id, premises = min(entry.derivations)
-            children = tuple(build(closure.fact(p)) for p in premises)
-            binding: Binding = {}
-            for template, child in zip(kb.rule(rule_id).conditions, children):
-                b = unify(template, child.literal)
-                if b:
-                    binding.update(b)
-            node = ProofNode(entry.literal, entry.id, rule_id, children,
+            children = tuple(build(closure.fact(p)) for p in entry.premises)
+            binding = instance_binding(kb.rule(entry.rule_id),
+                                       [c.literal for c in children])
+            node = ProofNode(entry.literal, entry.id, entry.rule_id, children,
                              tuple(sorted((v.name, e.name) for v, e in binding.items())))
         memo[entry.id] = node
         return node

@@ -33,12 +33,13 @@ from .modules import (
     DeductionStep,
     Derivation,
     FactCheckResult,
-    Goal,
     GoalSet,
     GoalStatus,
     RelevantFacts,
     RuleSelection,
+    abduce_goal_set,
     match_consequent,
+    select_by_goal,
     serialize_binding,
 )
 from .terms import KnowledgeBase, Literal, constants_in_order, rule_bindings, substitute_partial
@@ -390,19 +391,12 @@ class RemoteBackend:
             return RuleSelection((), by_goal=tuple((g, ()) for g in goals))
         ids = [index.rule_id(n) for n in response.payload]
         kept = [i for i in dict.fromkeys(ids) if i is not None]
-        by_goal = []
-        ordered: list[int] = []
-        for g in goals:
-            matched = tuple(i for i in kept if match_consequent(kb.rule(i), g) is not None)
-            by_goal.append((g, matched))
-            for i in matched:
-                if i not in ordered:
-                    ordered.append(i)
-        dropped = set(kept) - set(ordered)
+        selection = select_by_goal(goals, [kb.rule(i) for i in kept])
+        dropped = set(kept) - set(selection.rule_ids)
         if dropped:
             self.warnings.append(
                 f"rule_select_backward: rules {sorted(dropped)} match no open goal")
-        return RuleSelection(tuple(ordered), by_goal=tuple(by_goal))
+        return selection
 
     def _reconstruct(self, literal: Literal, kb: KnowledgeBase,
                      cited_rules: list[int]) -> Derivation | None:
@@ -471,20 +465,16 @@ class RemoteBackend:
             rid = rids[0] if rids else None
             if rid is None or rid not in selection.rule_ids:
                 continue
-            match = match_consequent(kb.rule(rid), goal)
-            if match is None:
+            gs = abduce_goal_set(kb.rule(rid), goal)
+            if gs is None:
                 self.warnings.append(f"logic_abduce: rule {rid} does not unify "
                                      f"with {render_literal(goal)!r}")
                 continue
-            goals = tuple(Goal(substitute_partial(c, match.rule_binding))
-                          for c in kb.rule(rid).conditions)
-            claimed = [lit for lit in entry["literals"]]
-            if claimed and set(claimed) != {g.literal for g in goals}:
+            claimed = entry["literals"]
+            if claimed and set(claimed) != {g.literal for g in gs.goals}:
                 self.warnings.append(f"logic_abduce: response restates rule {rid} "
                                      "conditions differently; using the rule text")
-            out.append(GoalSet(goals, origin_rule=rid, target=goal,
-                               unifier=serialize_binding(match.rule_binding),
-                               commitments=serialize_binding(match.commitments)))
+            out.append(gs)
         return tuple(out)
 
     def fact_check(self, target, kb: KnowledgeBase) -> FactCheckResult:

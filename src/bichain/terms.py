@@ -221,6 +221,22 @@ def rule_bindings(rule: Rule, known: Mapping[Literal, int], candidates: Sequence
     return found
 
 
+def instance_binding(rule: Rule, grounds: Sequence[Literal]) -> Binding | None:
+    """The binding under which the rule's conditions are exactly the given
+    ground literals, in order; None when there is none."""
+    if len(grounds) != len(rule.conditions):
+        return None
+    binding: Binding = {}
+    for template, ground in zip(rule.conditions, grounds):
+        b = unify(template, ground)
+        if b is None:
+            return None
+        for v, e in b.items():
+            if binding.setdefault(v, e) != e:
+                return None
+    return binding
+
+
 def contradicts(a: Literal, b: Literal) -> bool:
     """True iff the two ground literals share an atom with opposite signs."""
     return a.atom == b.atom and a.positive != b.positive
@@ -355,6 +371,11 @@ class KnowledgeBase:
         if not 1 <= fact_id <= len(self.facts):
             raise IndexError(f"fact id {fact_id} outside 1..{len(self.facts)}")
         return self.facts[fact_id - 1]
+
+    def has_fact(self, fact_id: int | None, literal: Literal) -> bool:
+        """Is ``fact_id`` a stored fact whose literal is ``literal``?"""
+        return fact_id is not None and 1 <= fact_id <= len(self.facts) \
+            and self.facts[fact_id - 1].literal == literal
 
     def rule(self, rule_id: int) -> Rule:
         return self._rule_by_id[rule_id]

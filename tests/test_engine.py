@@ -21,11 +21,11 @@ from bichain.engine import (
     replay_validate,
 )
 from bichain.generate import InstanceSpec, PROFILES, generate_instance
-from bichain.language import Hypothesis, Label, Problem, parse_problem
+from bichain.language import Hypothesis, Label, Problem, parse_problem, render_literal
 from bichain.modules import SymbolicBackend
 from bichain.oracle import oracle_label
 from bichain.remote import TransportError
-from bichain.terms import KnowledgeBase, Rule, VAR, attr, rel
+from bichain.terms import KnowledgeBase, Rule, VAR, attr, rel, term_string
 
 ALL_ENGINES = (prove_bidirectional, prove_forward, prove_backward)
 
@@ -276,7 +276,7 @@ class TestTraceInvariants:
                 # preceding module run ends its direction's segment
                 segment = [s for s in steps if s.index <= previous.index
                            and s.direction == previous.direction]
-                confused = any(s.confusion for s in segment[-2:])
+                confused = any(s.payload.get("confusion") for s in segment[-2:])
                 deduces = [s for s in segment if s.module == "logic_deduce"]
                 stalled = not deduces or not deduces[-1].payload["derived"] \
                     or previous.module == "fact_check"
@@ -314,15 +314,47 @@ class TestReplayValidate:
         report = replay_validate(ProofTrace.from_json(doc), standalone)
         assert not report
 
-    @pytest.mark.parametrize("tamper", ["renumber_children", "unknown_node"])
+    @pytest.mark.parametrize("tamper", ["renumber_children", "unknown_node", "foreign_rule"])
     def test_tampered_abduction_is_caught(self, cowbear_problem, tamper):
-        doc = prove_bidirectional(cowbear_problem).trace.to_json()
+        engines = ("bi", "backward") if tamper == "foreign_rule" else ("bi",)
+        for name in engines:
+            doc = ENGINES[name](cowbear_problem).trace.to_json()
+            abductions = [s for s in doc["steps"] if s["module"] == "logic_abduce"]
+            if tamper == "foreign_rule":
+                # rule 2 concludes chases(cow, lion), not the step's goal
+                step = abductions[0]
+                conditions = cowbear_problem.kb.rule(2).conditions
+                step["sets"][0] = {"origin_rule": 2, "target": step["goal"],
+                                   "unifier": [], "commitments": [],
+                                   "goals": [term_string(c) for c in conditions],
+                                   "texts": [render_literal(c) for c in conditions]}
+            else:
+                step = next(s for s in abductions if s["children"])
+                if tamper == "renumber_children":
+                    step["children"] = [c + 1 for c in step["children"]]
+                else:
+                    step["node"] = 999
+            report = replay_validate(ProofTrace.from_json(doc), cowbear_problem)
+            assert not report, name
+            assert report.step == step["index"], name
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_selection_of_unknown_rule_is_caught(self, cowbear_problem, engine):
+        doc = ENGINES[engine](cowbear_problem).trace.to_json()
         step = next(s for s in doc["steps"]
-                    if s["module"] == "logic_abduce" and s["children"])
-        if tamper == "renumber_children":
-            step["children"] = [c + 1 for c in step["children"]]
-        else:
-            step["node"] = 999
+                    if s["module"] in ("rule_select_forward", "rule_select_backward"))
+        step["rules"].append(999)
+        report = replay_validate(ProofTrace.from_json(doc), cowbear_problem)
+        assert not report
+        assert report.step == step["index"]
+
+    @pytest.mark.parametrize("claim", ["open_node", "absent_node"])
+    def test_unsatisfied_node_claim_is_caught(self, cowbear_problem, claim):
+        doc = prove_bidirectional(cowbear_problem).trace.to_json()
+        step = next(s for s in doc["steps"] if s["module"] == "fact_check"
+                    and s["kind"] == "goals" and s["satisfied"] is None)
+        # an Unknown goals check has no node whose goals are all proven
+        step["satisfied"] = step["nodes"][0]["node"] if claim == "open_node" else 999
         report = replay_validate(ProofTrace.from_json(doc), cowbear_problem)
         assert not report
         assert report.step == step["index"]

@@ -54,8 +54,7 @@ class TestSaturate:
             kb = problem.kb
             for fact in closure.facts:
                 if not fact.given:
-                    derivation = fact.derivations[0]
-                    kb = kb.add_derived([(fact.literal, derivation[0], derivation[1])])
+                    kb = kb.add_derived([(fact.literal, fact.rule_id, fact.premises)])
             step = backend.logic_deduce(
                 RelevantFacts(tuple(f.id for f in kb.facts)),
                 RuleSelection(tuple(r.id for r in kb.rules)), kb)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bichain.oracle import saturate
 from bichain.terms import (
     VAR,
     Atom,
@@ -151,8 +152,9 @@ class TestKnowledgeBase:
     @pytest.mark.parametrize("fact_id", [0, -1, 3])
     def test_fact_id_out_of_range_raises(self, fact_id):
         kb = KnowledgeBase.from_literals([attr("cow", "blue"), attr("cow", "big")])
-        with pytest.raises(IndexError):
-            kb.fact(fact_id)  # ids are 1-based; 0 is not the last fact
+        for store in (kb, saturate(kb)):
+            with pytest.raises(IndexError):
+                store.fact(fact_id)  # ids are 1-based; 0 is not the last fact
 
     def test_constants_in_first_appearance_order(self):
         kb = KnowledgeBase.from_literals(
