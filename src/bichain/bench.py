@@ -133,6 +133,13 @@ def _trace_filename(meta: str, index: int, engine: str) -> str:
     return f"{slug}__{engine}.json"
 
 
+def options_trace(name: str, engine: str, chosen: int | None,
+                  verdicts: tuple[Verdict, ...]) -> dict:
+    """The trace document of one multi-option evaluation."""
+    return {"problem": name, "engine": engine, "chosen": chosen,
+            "options": [v.trace.to_json() for v in verdicts]}
+
+
 def _evaluate_one(index: int, problem: Problem, oracle: tuple | Exception, engine: str,
                   cfg: RunConfig) -> tuple[ProblemResult, dict | None]:
     """One engine on one problem, given the problem's ``_oracle_view``."""
@@ -149,9 +156,7 @@ def _evaluate_one(index: int, problem: Problem, oracle: tuple | Exception, engin
                                                 engine=engine)
             calls = sum(v.calls for v in verdicts)
             result = ProblemResult(name, None, None, calls=calls)
-            trace_doc = {"problem": name, "engine": engine, "chosen": chosen,
-                         "options": [v.trace.to_json() for v in verdicts]}
-            return result, trace_doc
+            return result, options_trace(name, engine, chosen, verdicts)
         verdict: Verdict = prove(problem, engine_config, backend)
         result = ProblemResult(name, gold, verdict.label, calls=verdict.calls)
         report = replay_validate(verdict.trace, problem)

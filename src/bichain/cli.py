@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import RunConfig, run_bench
+from .bench import RunConfig, options_trace, run_bench
 from .engine import (
     ENGINES,
     EngineConfig,
@@ -86,21 +86,18 @@ def _cmd_prove(args) -> int:
             print(f"option {i}: {verdict.label.value} calls={verdict.calls}")
         print(f"chosen: {chosen if chosen is not None else 'none'} "
               f"calls={sum(v.calls for v in verdicts)}")
-        if args.trace:
-            doc = {"problem": problem.meta, "chosen": chosen,
-                   "options": [v.trace.to_json() for v in verdicts]}
-            Path(args.trace).write_text(json.dumps(doc, indent=1, sort_keys=True),
-                                        encoding="utf-8")
-        return 0 if chosen is not None else 2
-    verdict = ENGINES[args.engine](problem, config, backend)
-    print(f"{verdict.label.value} calls={verdict.calls}")
-    for warning in verdict.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        doc = options_trace(problem.meta, args.engine, chosen, verdicts)
+        code = 0 if chosen is not None else 2
+    else:
+        verdict = ENGINES[args.engine](problem, config, backend)
+        print(f"{verdict.label.value} calls={verdict.calls}")
+        for warning in verdict.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        doc, code = verdict.trace.to_json(), EXIT_BY_LABEL[verdict.label]
     if args.trace:
-        Path(args.trace).write_text(
-            json.dumps(verdict.trace.to_json(), indent=1, sort_keys=True),
-            encoding="utf-8")
-    return EXIT_BY_LABEL[verdict.label]
+        Path(args.trace).write_text(json.dumps(doc, indent=1, sort_keys=True),
+                                    encoding="utf-8")
+    return code
 
 
 def _cmd_oracle(args) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .language import Hypothesis, Label, Problem, render_literal
 from .remote import TransportError
@@ -32,7 +32,9 @@ from .modules import (
     RuleSelection,
     SymbolicBackend,
     abduce_goal_set,
+    check_hypothesis,
     deserialize_binding,
+    serialize_binding,
     variant_key,
 )
 from .terms import (
@@ -42,6 +44,7 @@ from .terms import (
     Fact,
     KnowledgeBase,
     Literal,
+    Rule,
     instance_binding,
     literal_from_term,
     substitute_partial,
@@ -56,10 +59,9 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Step budget and starting direction for one evaluation."""
+    """Step budget for one evaluation."""
 
     max_steps: int = 50
-    start_direction: Direction = Direction.FORWARD
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -153,6 +155,11 @@ def _deduction_payload(rules: tuple[int, ...], derived: tuple[Derivation, ...],
                          "binding": [list(p) for p in d.binding]} for d in derived]}
 
 
+def _check_payload(hypothesis: Hypothesis, res: FactCheckResult) -> dict:
+    return {"kind": "hypothesis", "target": term_string(hypothesis.consequent),
+            "label": res.label.value, "evidence": res.evidence}
+
+
 def _fact_resolution(res: FactCheckResult) -> dict:
     return {"kind": "fact", "fact": res.evidence}
 
@@ -176,7 +183,8 @@ class _Run:
     validation can audit the original text.
     """
 
-    def __init__(self, engine: str, problem: Problem, backend: ModuleBackend):
+    def __init__(self, engine: str, problem: Problem, backend: ModuleBackend | None):
+        backend = backend or SymbolicBackend()
         if problem.hypothesis is None:
             raise ValueError("multi-option problems go through evaluate_options")
         if problem.remote_only and not backend.handles_freeform:
@@ -203,9 +211,7 @@ class _Run:
     def check(self, direction: Direction, hypothesis: Hypothesis) -> FactCheckResult:
         """Fact-check a hypothesis against the working knowledge base."""
         res = self.backend.fact_check(hypothesis, self.kb)
-        self.record(direction, "fact_check",
-                    {"kind": "hypothesis", "target": term_string(hypothesis.consequent),
-                     "label": res.label.value, "evidence": res.evidence})
+        self.record(direction, "fact_check", _check_payload(hypothesis, res))
         return res
 
     def derive(self, derived: tuple[Derivation, ...]) -> range:
@@ -226,11 +232,9 @@ class _Run:
                        tuple(derived))
 
 
-def _evaluate(engine: str, search: Callable[[_Run, EngineConfig], tuple[Label, dict | None]],
-              problem: Problem, config: EngineConfig | None,
-              backend: ModuleBackend | None) -> Verdict:
+def _evaluate(run: _Run, search: Callable[[_Run, EngineConfig], tuple[Label, dict | None]],
+              config: EngineConfig | None) -> Verdict:
     """Run one engine's search loop; an unreachable backend yields Unknown."""
-    run = _Run(engine, problem, backend or SymbolicBackend())
     try:
         label, resolution = search(run, config or EngineConfig())
     except TransportError as exc:
@@ -240,7 +244,7 @@ def _evaluate(engine: str, search: Callable[[_Run, EngineConfig], tuple[Label, d
 
 
 # --------------------------------------------------------------------------
-# Goal frontier (bidirectional backward phase and its trace replay)
+# Goal frontier (bidirectional backward phase)
 # --------------------------------------------------------------------------
 
 
@@ -262,8 +266,7 @@ class _Node:
 class _Frontier:
     """Every node of bi's backward search by id, and the one expansion rule.
 
-    The engine and trace replay both drive it, so replay recomputes each
-    recorded abduction's children, ids included, as the engine made them.
+    Only the engine drives it (trace replay re-runs the engine).
     """
 
     def __init__(self, q: Literal):
@@ -369,22 +372,21 @@ def prove_bidirectional(problem: Problem, config: EngineConfig | None = None,
     (so never a confusion) drew the backward side down until the budget ran
     out.
     """
-    return _evaluate("bi", _search_bidirectional, problem, config, backend)
+    return _evaluate(_Run("bi", problem, backend), _search_bidirectional, config)
 
 
 def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict | None]:
     backend, hypothesis = run.backend, run.hypothesis
     q = hypothesis.consequent
-    start = config.start_direction
 
     relevant_ids: list[int] = []
     if run.kb.facts:
         relevant = backend.fact_identify(hypothesis, run.kb)
-        run.record(start, "fact_identify",
+        run.record(Direction.FORWARD, "fact_identify",
                    {"hypothesis": term_string(q), "facts": list(relevant.fact_ids)})
         relevant_ids = list(relevant.fact_ids)
 
-    res = run.check(start, hypothesis)
+    res = run.check(Direction.FORWARD, hypothesis)
     if res.label is not Label.UNKNOWN:
         return res.label, _fact_resolution(res)
 
@@ -392,7 +394,7 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
     live: list[_Node] = [frontier.nodes[1]]  # open alternatives, in search order
     norule: set[Literal] = set()
 
-    direction = start
+    direction = Direction.FORWARD
     forward_dead = False  # stalled even with the widened fact subset
     widened = False
     backward_done = False
@@ -561,13 +563,13 @@ def prove_forward(problem: Problem, config: EngineConfig | None = None,
     novel consequent in rule-id order.  Stops on a decisive check, a step
     with no new facts, or the step budget.
     """
-    return _evaluate("forward", _search_forward, problem, config, backend)
+    return _evaluate(_Run("forward", problem, backend), _search_forward, config)
 
 
 def _search_forward(run: _Run, config: EngineConfig) -> tuple[Label, dict | None]:
     for _ in range(config.max_steps):
         relevant = RelevantFacts(tuple(f.id for f in run.kb.facts))
-        selection = run.backend.rule_select_forward(relevant, run.kb, goal=None)
+        selection = run.backend.rule_select_forward(relevant, run.kb, ())
         run.record(Direction.FORWARD, "rule_select_forward",
                    {"relevant": list(relevant.fact_ids), "goal": None,
                     "rules": list(selection.rule_ids), "bridge": selection.bridge})
@@ -626,7 +628,7 @@ def prove_backward(problem: Problem, config: EngineConfig | None = None,
     Deepening stops as soon as a round finishes without hitting its depth
     cutoff.
     """
-    return _evaluate("backward", _search_backward, problem, config, backend)
+    return _evaluate(_Run("backward", problem, backend), _search_backward, config)
 
 
 def _search_backward(run: _Run, config: EngineConfig) -> tuple[Label, dict | None]:
@@ -747,6 +749,131 @@ class ReplayReport:
         return self.ok
 
 
+class _RecordedBackend:
+    """A ModuleBackend that answers each call from the next recorded step.
+
+    Each answer is rebuilt from what the step cites (a deduction from its
+    rule and premises, an abduced set from its rule and the engine's own
+    goal) and checked against the re-run's knowledge base; selections,
+    identified facts, goal statuses and confusion flags are read as recorded.
+    Running out of steps raises TransportError, read as Unknown.
+    """
+
+    handles_freeform = True
+
+    def __init__(self, steps: list[TraceStep]):
+        self.steps = iter(steps)
+        self.step: TraceStep | None = None
+
+    def bind_problem(self, problem: Problem) -> None:
+        """Nothing to bind: every answer comes from the trace."""
+
+    def drain_warnings(self) -> list[str]:
+        return []
+
+    def drain_responses(self) -> list[dict]:
+        """The raw responses recorded with the step just answered."""
+        return self.step.payload.get("responses", [])
+
+    def _next(self, module: str) -> dict:
+        self.step = next(self.steps, None)
+        if self.step is None:
+            raise TransportError("no recorded answer left")
+        if self.step.module != module:
+            raise ValueError(f"the engine calls {module} here, not {self.step.module}")
+        return self.step.payload
+
+    def _rule(self, kb: KnowledgeBase, rule_id: int) -> Rule:
+        try:
+            return kb.rule(rule_id)
+        except KeyError:
+            raise ValueError(f"unknown rule {rule_id}") from None
+
+    def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> RelevantFacts:
+        return RelevantFacts(tuple(kb.fact(i).id for i in self._next("fact_identify")["facts"]))
+
+    def rule_select_forward(self, relevant: RelevantFacts, kb: KnowledgeBase,
+                            goals: tuple[Literal, ...]) -> RuleSelection:
+        p = self._next("rule_select_forward")
+        return RuleSelection(tuple(self._rule(kb, i).id for i in p["rules"]), bridge=p["bridge"])
+
+    def rule_select_backward(self, goals: tuple[Literal, ...],
+                             kb: KnowledgeBase) -> RuleSelection:
+        p = self._next("rule_select_backward")
+        by_goal = tuple((g, tuple(self._rule(kb, i).id for i in ids))
+                        for g, (_, ids) in zip(goals, p.get("by_goal", [])))
+        return RuleSelection(tuple(self._rule(kb, i).id for i in p["rules"]), by_goal=by_goal)
+
+    def logic_deduce(self, relevant: RelevantFacts, selection: RuleSelection,
+                     kb: KnowledgeBase) -> DeductionStep:
+        derived = []
+        for d in self._next("logic_deduce")["derived"]:
+            rule, premises = self._rule(kb, d["rule"]), tuple(d["premises"])
+            binding = instance_binding(rule, [kb.fact(i).literal for i in premises])
+            literal = None if binding is None else substitute_partial(rule.consequent, binding)
+            if literal is None or kb.lookup(literal) is not None:
+                raise ValueError(f"rule {rule.id} derives nothing new from facts {list(premises)}")
+            derived.append(Derivation(literal, rule.id, premises, serialize_binding(binding)))
+        return DeductionStep(tuple(derived))
+
+    def logic_abduce(self, goal: Literal, selection: RuleSelection,
+                     kb: KnowledgeBase) -> tuple[GoalSet, ...]:
+        sets = tuple(abduce_goal_set(self._rule(kb, s["origin_rule"]), goal)
+                     for s in self._next("logic_abduce")["sets"])
+        if None in sets:
+            raise ValueError(f"a goal set's rule does not conclude {term_string(goal)}")
+        return sets
+
+    def fact_check(self, target: Hypothesis | tuple[GoalSet, ...],
+                   kb: KnowledgeBase) -> FactCheckResult:
+        p = self._next("fact_check")
+        if isinstance(target, Hypothesis):
+            label, evidence = Label(p["label"]), p["evidence"]
+            held = check_hypothesis(target.consequent, kb)
+            if label is not held.label or held.evidence not in (None, evidence):
+                raise ValueError(f"the knowledge base answers {held.label.value} "
+                                 f"by fact {held.evidence}")
+            return FactCheckResult(label, evidence=evidence)
+        goalsets = []
+        for gs, node in zip(target, p["nodes"], strict=True):
+            goals = tuple(replace(g, status=GoalStatus(r["status"]), fact_id=r.get("fact"),
+                                  binding=tuple(map(tuple, r.get("binding", ()))))
+                          for g, r in zip(gs.goals, node["goals"], strict=True))
+            for g in goals:
+                lit = substitute_partial(g.literal, deserialize_binding(g.binding))
+                if g.status is not GoalStatus.OPEN and not kb.has_fact(
+                        g.fact_id, lit.negated() if g.status is GoalStatus.CONTRADICTED else lit):
+                    raise ValueError(f"goal {term_string(g.literal)} lacks a matching fact")
+            goalsets.append(replace(gs, goals=goals))
+        ids = [node["node"] for node in p["nodes"]]
+        satisfied = ids.index(p["satisfied"]) if p["satisfied"] in ids else None
+        if p["satisfied"] is not None and (satisfied is None or not goalsets[satisfied].satisfied):
+            raise ValueError(f"satisfied node {p['satisfied']} is not a fully proven node here")
+        return FactCheckResult(Label.PROVED if satisfied is not None else Label.UNKNOWN,
+                               goalsets=tuple(goalsets), satisfied=satisfied)
+
+    def confusion_check(self, step: DeductionStep | tuple[GoalSet, ...]) -> bool:
+        return bool(self._next("confusion_check")["confusion"])
+
+
+def _search_reference(run: _Run, config: EngineConfig) -> tuple[Label, dict | None]:
+    """Replay-only loop for the oracle's reference proofs: deduce, while
+    answers last, until the knowledge base decides; then check that literal."""
+    q = run.hypothesis.consequent
+    while run.kb.entailed(q) is Entailment.UNDETERMINED:
+        step = run.backend.logic_deduce(RelevantFacts(()), RuleSelection(()), run.kb)
+        run.record(Direction.FORWARD, "logic_deduce",
+                   _deduction_payload(tuple(d.rule_id for d in step.derived), step.derived))
+        run.derive(step.derived)
+    decided = Label.PROVED if run.kb.entailed(q) is Entailment.HOLDS else Label.DISPROVED
+    res = run.check(Direction.FORWARD, Hypothesis(q if decided is Label.PROVED else q.negated()))
+    return (decided, _fact_resolution(res)) if res.label is Label.PROVED else (Label.UNKNOWN, None)
+
+
+_SEARCHES = {"bi": _search_bidirectional, "forward": _search_forward,
+             "backward": _search_backward, "reference": _search_reference}
+
+
 def _validate_tree(root: dict, kb: KnowledgeBase) -> str | None:
     """Check a ground proof tree: fact leaves exist, rule nodes instantiate."""
     literal = literal_from_term(root["literal"])
@@ -770,153 +897,44 @@ def _validate_tree(root: dict, kb: KnowledgeBase) -> str | None:
     return None
 
 
-def replay_validate(trace: ProofTrace, problem: Problem,
-                    hypothesis: Hypothesis | None = None) -> ReplayReport:
-    """Re-validate a proof trace against the problem it came from.
-
-    Every selection must cite existing rules, every deduction must
-    re-derive from the reconstructed fact set, every abduced goal set must
-    be the one its origin rule's consequent gives the step's goal and yield
-    the recorded frontier children, every fact-check claim must point at a
-    real matching fact (a satisfied node at one whose goals are all proven),
-    and a decisive final label must be backed by a valid resolution (the
-    hallucination detector for remote-backend traces).  Reports the first
-    invalid step on failure.
+def replay_validate(trace: ProofTrace, problem: Problem) -> ReplayReport:
+    """Re-run the trace's engine on its recorded answers, each checked
+    against the re-run's knowledge base (see ``_RecordedBackend``); the
+    re-executed steps, label and resolution must equal the recorded ones and
+    a proof tree must derive the hypothesis (the hallucination detector for
+    remote-backend traces).  Reports the first recorded step that differs.
+    Traces do not record their step budget, so running out of answers reads
+    as a budget or transport stop: an Unknown trace cut at its end replays.
     """
-    hypothesis = hypothesis or problem.hypothesis
-    if hypothesis is None:
-        return ReplayReport(False, None, "no hypothesis to validate against")
-    kb = problem.kb
-    for lit in hypothesis.condition:
-        kb = kb.add_given(lit)
-    q = hypothesis.consequent
-    rule_ids = {r.id for r in kb.rules}
-    frontier = _Frontier(q)
-    last_index = 0
-
-    def fail(step: TraceStep, reason: str) -> ReplayReport:
-        return ReplayReport(False, step.index, reason)
-
-    for step in trace.steps:
-        if step.index <= last_index:
-            return fail(step, "step indices must strictly increase")
-        last_index = step.index
-        p = step.payload
-        try:
-            report = _replay_step(step, p, kb, rule_ids, frontier, fail)
-        except Exception as exc:
-            return fail(step, f"malformed step: {exc}")
-        if isinstance(report, ReplayReport):
-            return report
-        if report is not None:
-            kb = report
+    search = _SEARCHES.get(trace.engine)
+    if search is None or problem.hypothesis is None:
+        return ReplayReport(False, None, f"no {trace.engine!r} engine or no hypothesis to re-run")
+    answers = _RecordedBackend(trace.steps)
+    run = _Run(trace.engine, problem, answers)
+    failure = None
     try:
-        return _replay_finish(trace, kb, q)
+        # every loop iteration of every engine starts with a module call, so
+        # the recorded answers run out before this budget does
+        _evaluate(run, search, EngineConfig(max_steps=len(trace.steps) + 1))
     except Exception as exc:
-        return ReplayReport(False, None, f"malformed resolution: {exc}")
-
-
-def _replay_step(step, p, kb, rule_ids, frontier, fail):
-    """Validate one recorded step; returns a failure report, an updated
-    knowledge base (after a deduction), or None."""
-    if step.module == "fact_identify":
-        ids = p.get("facts", [])
-        if not all(1 <= i <= len(kb.facts) for i in ids):
-            return fail(step, "identified facts outside the knowledge base")
-    elif step.module in ("rule_select_forward", "rule_select_backward"):
-        cited = {*p.get("rules", []), p.get("bridge"),
-                 *(i for _, ids in p.get("by_goal", []) for i in ids)}
-        unknown = cited - rule_ids - {None}
-        if unknown:
-            return fail(step, f"unknown rules {sorted(unknown, key=str)}")
-    elif step.module == "logic_deduce":
-        entries = []
-        for d in p.get("derived", []):
-            literal = literal_from_term(d["term"])
-            rid = d.get("rule")
-            if rid not in rule_ids:
-                return fail(step, f"unknown rule {rid}")
-            rule = kb.rule(rid)
-            premises = tuple(d.get("premises", ()))
-            if len(premises) != len(rule.conditions):
-                return fail(step, f"rule {rid} needs {len(rule.conditions)} premises")
-            binding = deserialize_binding(d.get("binding", []))
-            for cond, pid in zip(rule.conditions, premises):
-                if not kb.has_fact(pid, substitute_partial(cond, binding)):
-                    return fail(step, f"premise {pid} does not entail {cond}")
-            if substitute_partial(rule.consequent, binding) != literal:
-                return fail(step, f"rule {rid} does not conclude {d['term']}")
-            if kb.lookup(literal) is not None:
-                return fail(step, f"derived fact {d['term']} is not novel")
-            entries.append((literal, rid, premises))
-        if entries:
-            return kb.add_derived(entries)
-    elif step.module == "logic_abduce":
-        goal = literal_from_term(p["goal"])
-        module_sets = []
-        for s in p.get("sets", []):
-            rid = s.get("origin_rule")
-            if rid not in rule_ids:
-                return fail(step, f"unknown rule {rid}")
-            gs = abduce_goal_set(kb.rule(rid), goal)
-            if gs is None or s != _set_payload(gs):
-                return fail(step, f"goal set is not what rule {rid} gives {p['goal']}")
-            module_sets.append(gs)
-        parent_id = p.get("node")
-        if parent_id is not None:
-            parent = frontier.nodes.get(parent_id)
-            if parent is None:
-                return fail(step, f"unknown frontier node {parent_id}")
-            children = frontier.expand(parent, goal, tuple(module_sets))
-            if p.get("children", []) != [c.id for c in children]:
-                return fail(step, "recorded children disagree with the recomputed expansion")
-    elif step.module == "fact_check":
-        if p.get("kind") == "hypothesis":
-            target = literal_from_term(p["target"])
-            expected = kb.entailed(target)
-            mapping = {Entailment.HOLDS: Label.PROVED.value,
-                       Entailment.NEGATION_HOLDS: Label.DISPROVED.value,
-                       Entailment.UNDETERMINED: Label.UNKNOWN.value}
-            if mapping[expected] != p.get("label"):
-                return fail(step, f"fact check of {p['target']} should be {mapping[expected]}")
-        else:
-            nodes = p.get("nodes", [])
-            for rendered in nodes:
-                for g in rendered.get("goals", []):
-                    status = g.get("status")
-                    literal = literal_from_term(g["term"])
-                    grounded = substitute_partial(literal, deserialize_binding(g.get("binding", [])))
-                    if status == GoalStatus.PROVEN.value:
-                        if not kb.has_fact(g.get("fact"), grounded):
-                            return fail(step, f"goal {g['term']} lacks a matching fact")
-                    elif status == GoalStatus.CONTRADICTED.value:
-                        if not kb.has_fact(g.get("fact"), grounded.negated()):
-                            return fail(step, f"goal {g['term']} lacks a contradicting fact")
-            satisfied = p.get("satisfied")
-            if satisfied is not None and not any(
-                    n.get("node") == satisfied and all(g.get("status") == GoalStatus.PROVEN.value
-                                                       for g in n.get("goals", []))
-                    for n in nodes):
-                return fail(step, f"satisfied node {satisfied} is not a fully proven node here")
-    return None
-
-
-def _replay_finish(trace: ProofTrace, kb: KnowledgeBase, q: Literal) -> ReplayReport:
-    """A decisive final label must be backed by a valid resolution."""
-    if trace.label not in (Label.PROVED, Label.DISPROVED):
-        return ReplayReport(True)
-    expected = q if trace.label is Label.PROVED else q.negated()
-    res = trace.resolution or {}
-    if res.get("kind") == "fact":
-        if not kb.has_fact(res.get("fact"), expected):
-            return ReplayReport(False, None, "decisive label lacks matching fact evidence")
-        return ReplayReport(True)
-    if res.get("kind") == "tree":
-        root = res.get("root", {})
-        if literal_from_term(root.get("literal", "")) != expected:
+        failure = ReplayReport(False, answers.step and answers.step.index,
+                               f"{type(exc).__name__}: {exc}")
+    for recorded, rerun in zip(trace.steps, run.trace.steps):
+        if recorded != rerun:
+            return ReplayReport(False, recorded.index, "step differs from its re-execution")
+    if failure is not None:
+        return failure
+    if len(run.trace.steps) < len(trace.steps):
+        return ReplayReport(False, trace.steps[len(run.trace.steps)].index,
+                            "the re-executed engine stops before this step")
+    label, resolution = run.trace.label, run.trace.resolution
+    if label is not trace.label or resolution != trace.resolution:
+        return ReplayReport(False, None, "label or resolution differs from the re-execution")
+    if resolution is not None and resolution["kind"] == "tree":
+        q = run.hypothesis.consequent
+        if literal_from_term(resolution["root"]["literal"]) != \
+                (q if label is Label.PROVED else q.negated()):
             return ReplayReport(False, None, "resolution tree does not conclude the hypothesis")
-        err = _validate_tree(root, kb)
-        if err:
-            return ReplayReport(False, None, err)
-        return ReplayReport(True)
-    return ReplayReport(False, None, "decisive label without a resolution")
+        err = _validate_tree(resolution["root"], run.kb)
+        return ReplayReport(not err, None, err or "")
+    return ReplayReport(True)

@@ -236,6 +236,16 @@ def abduce_goal_set(rule: Rule, goal: Literal) -> GoalSet | None:
                    commitments=serialize_binding(match.commitments))
 
 
+def check_hypothesis(consequent: Literal, kb: KnowledgeBase) -> FactCheckResult:
+    """The knowledge base's own answer to a hypothesis fact check."""
+    verdict = kb.entailed(consequent)
+    if verdict is Entailment.HOLDS:
+        return FactCheckResult(Label.PROVED, evidence=kb.lookup(consequent).id)
+    if verdict is Entailment.NEGATION_HOLDS:
+        return FactCheckResult(Label.DISPROVED, evidence=kb.lookup(consequent.negated()).id)
+    return FactCheckResult(Label.UNKNOWN)
+
+
 def select_by_goal(goals: tuple[Literal, ...], rules: Sequence[Rule]) -> RuleSelection:
     """Backward selection: the given rules grouped per goal by whether their
     consequent matches it; the selection keeps the matched ones in order."""
@@ -271,8 +281,7 @@ class ModuleBackend(Protocol):
     def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> RelevantFacts: ...
 
     def rule_select_forward(self, relevant: RelevantFacts, kb: KnowledgeBase,
-                            goal: Literal | tuple[Literal, ...] | None = None,
-                            ) -> RuleSelection: ...
+                            goals: tuple[Literal, ...]) -> RuleSelection: ...
 
     def rule_select_backward(self, goals: tuple[Literal, ...],
                              kb: KnowledgeBase) -> RuleSelection: ...
@@ -324,22 +333,14 @@ class SymbolicBackend:
     # -- rule selection -----------------------------------------------------
 
     def rule_select_forward(self, relevant: RelevantFacts, kb: KnowledgeBase,
-                            goal: Literal | tuple[Literal, ...] | None = None,
-                            ) -> RuleSelection:
+                            goals: tuple[Literal, ...]) -> RuleSelection:
         """Applicable rules, or the single bridging rule when one exists.
 
         A bridge both fires from the relevant facts and concludes one of the
-        goal literals (the hypothesis consequent, or whatever the backward
-        side currently needs); selection then collapses to it, lowest rule
-        id first.  Goal literals may be templates.
+        goal literals (whatever the backward side currently needs, none for
+        goal-blind forward chaining); selection then collapses to it, lowest
+        rule id first.  Goal literals may be templates.
         """
-        goals: tuple[Literal, ...]
-        if goal is None:
-            goals = ()
-        elif isinstance(goal, Literal):
-            goals = (goal,)
-        else:
-            goals = goal
         literal_map = {kb.fact(i).literal: i for i in relevant.fact_ids}
         candidates = constants_in_order(f.literal for f in kb.facts
                                         if f.literal in literal_map)
@@ -404,15 +405,6 @@ class SymbolicBackend:
 
     # -- fact check ----------------------------------------------------------
 
-    @staticmethod
-    def _check_hypothesis(consequent: Literal, kb: KnowledgeBase) -> FactCheckResult:
-        verdict = kb.entailed(consequent)
-        if verdict is Entailment.HOLDS:
-            return FactCheckResult(Label.PROVED, evidence=kb.lookup(consequent).id)
-        if verdict is Entailment.NEGATION_HOLDS:
-            return FactCheckResult(Label.DISPROVED, evidence=kb.lookup(consequent.negated()).id)
-        return FactCheckResult(Label.UNKNOWN)
-
     def _check_goalset(self, gs: GoalSet, kb: KnowledgeBase) -> GoalSet:
         goals = list(gs.goals)
         scopes: dict[Entity, list[int]] = {}
@@ -464,7 +456,7 @@ class SymbolicBackend:
         (open-world reading).
         """
         if isinstance(target, Hypothesis):
-            return self._check_hypothesis(target.consequent, kb)
+            return check_hypothesis(target.consequent, kb)
         updated = tuple(self._check_goalset(gs, kb) for gs in target)
         satisfied = next((i for i, gs in enumerate(updated) if gs.satisfied), None)
         label = Label.PROVED if satisfied is not None else Label.UNKNOWN

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import Direction, ProofTrace, TraceStep
-from .language import Hypothesis, Label, Problem, render_literal
+from .engine import Direction, ProofTrace, TraceStep, _check_payload, _deduction_payload
+from .language import Hypothesis, Label, Problem
+from .modules import Derivation, FactCheckResult
 from .terms import (
     Fact,
     KnowledgeBase,
@@ -22,7 +23,6 @@ from .terms import (
     instance_binding,
     rule_bindings,
     substitute_partial,
-    term_string,
 )
 
 
@@ -92,7 +92,9 @@ class ReferenceProof:
         return frozenset(out)
 
     def to_trace(self, label: Label, meta: str = "") -> ProofTrace:
-        """Render the proof as a forward trace that replay validation accepts."""
+        """Render the proof as a trace of one deduction per derived node, then
+        the check of the proved literal; replay re-runs it as the
+        ``reference`` engine."""
         nodes: list[ProofNode] = []
         seen: set[Literal] = set()
 
@@ -105,25 +107,18 @@ class ReferenceProof:
 
         collect(self.root)
         replay_id: dict[int, int] = {}
-        next_id = self.given_count + 1
         trace = ProofTrace(engine="reference", problem=meta)
         for i, node in enumerate(nodes, start=1):
             premises = tuple(replay_id.get(c.fact_id, c.fact_id) for c in node.children)
-            replay_id[node.fact_id] = next_id
-            derived = [{"term": term_string(node.literal),
-                        "text": render_literal(node.literal),
-                        "rule": node.rule_id, "premises": list(premises),
-                        "binding": [list(p) for p in node.binding]}]
+            replay_id[node.fact_id] = self.given_count + i
+            derived = Derivation(node.literal, node.rule_id, premises, node.binding)
             trace.steps.append(TraceStep(i, Direction.FORWARD.value, "logic_deduce",
-                                         {"rules": [node.rule_id], "derived": derived}))
-            next_id += 1
+                                         _deduction_payload((node.rule_id,), (derived,))))
         evidence = replay_id.get(self.root.fact_id, self.root.fact_id)
-        trace.steps.append(TraceStep(len(trace.steps) + 1, Direction.FORWARD.value,
-                                     "fact_check",
-                                     {"kind": "hypothesis",
-                                      "target": term_string(self.root.literal),
-                                      "label": Label.PROVED.value,
-                                      "evidence": evidence}))
+        trace.steps.append(TraceStep(
+            len(trace.steps) + 1, Direction.FORWARD.value, "fact_check",
+            _check_payload(Hypothesis(self.root.literal),
+                           FactCheckResult(Label.PROVED, evidence=evidence))))
         trace.label = label
         trace.resolution = {"kind": "fact", "fact": evidence}
         return trace

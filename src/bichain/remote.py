@@ -360,15 +360,8 @@ class RemoteBackend:
         return RelevantFacts(kept or tuple(f.id for f in kb.facts))
 
     def rule_select_forward(self, relevant: RelevantFacts, kb: KnowledgeBase,
-                            goal=None) -> RuleSelection:
+                            goals: tuple[Literal, ...]) -> RuleSelection:
         index, premises = self._premises(kb)
-        goals: tuple[Literal, ...]
-        if goal is None:
-            goals = ()
-        elif isinstance(goal, Literal):
-            goals = (goal,)
-        else:
-            goals = tuple(goal)
         shown = render_literal(goals[0]) if goals else ""
         response = self.invoke_module("rule_select_forward", shown, premises)
         if not response.ok:

@@ -65,6 +65,22 @@ class TestProve:
         assert "option 2: Proved" in out
         assert "chosen: 2" in out
 
+    def test_options_trace_is_the_bench_trace(self, capsys, tmp_path):
+        path = tmp_path / "opts.jsonl"
+        path.write_text(json.dumps({
+            "id": "opts", "facts": ["The cow is blue."],
+            "options": ["The cow is red.", "The cow is blue."]}) + "\n",
+            encoding="utf-8")
+        trace = tmp_path / "trace.json"
+        run(capsys, "prove", str(path), "--engine", "forward", "--trace", str(trace))
+        doc = json.loads(trace.read_text(encoding="utf-8"))
+        assert doc["engine"] == "forward"
+        run(capsys, "bench", "--corpus", str(path), "--engines", "forward",
+            "--report", str(tmp_path / "report.json"), "--trace-dir", str(tmp_path / "traces"))
+        bench_doc = json.loads((tmp_path / "traces" / "opts__forward.json").read_text(
+            encoding="utf-8"))
+        assert doc == bench_doc
+
     def test_missing_file_is_an_error_code(self, capsys):
         code, _, err = run(capsys, "prove", "no-such-file.pw")
         assert code == 4 and "error" in err
@@ -128,6 +144,22 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--trace", str(trace),
                            "--problem", fixture_paths[0])
         assert code == 1 and out.startswith("invalid")
+
+    def test_tampered_steps_are_reported_where_they_diverge(self, capsys, fixture_paths,
+                                                              tmp_path):
+        cowbear = fixture_paths[1]
+        trace = tmp_path / "trace.json"
+        run(capsys, "prove", cowbear, "--engine", "bi", "--trace", str(trace))
+        original = trace.read_text(encoding="utf-8")
+        flipped, emptied, deleted = (json.loads(original) for _ in range(3))
+        assert flipped["steps"][5]["module"] == "confusion_check"
+        flipped["steps"][5]["confusion"] = not flipped["steps"][5]["confusion"]
+        emptied["steps"][0]["facts"] = []
+        del deleted["steps"][7]
+        for doc, step in ((flipped, 7), (emptied, 3), (deleted, 9)):
+            trace.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, _ = run(capsys, "validate", "--trace", str(trace), "--problem", cowbear)
+            assert code == 1 and out.startswith(f"invalid at step {step}:"), out
 
 
 class TestUsageErrors:

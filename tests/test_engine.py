@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from bichain.engine import (
     ENGINES,
-    Direction,
     EngineConfig,
     ProofTrace,
     evaluate_options,
@@ -95,11 +94,6 @@ class TestBidirectional:
         verdict = prove_bidirectional(problem, EngineConfig(max_steps=50))
         assert verdict.label is Label.UNKNOWN
         assert verdict.calls < 12
-
-    def test_backward_start_direction(self, cowbear_problem):
-        verdict = prove_bidirectional(
-            cowbear_problem, EngineConfig(start_direction=Direction.BACKWARD))
-        assert verdict.label is Label.PROVED
 
     @pytest.mark.parametrize("seed", [240088, 140058, 90840004])
     def test_cyclic_backward_chain_does_not_exhaust_the_budget(self, seed):
@@ -313,6 +307,66 @@ class TestReplayValidate:
         doc["label"] = "Proved"
         report = replay_validate(ProofTrace.from_json(doc), standalone)
         assert not report
+        # a Proved trace relabelled Unknown: its last answer still proves
+        for name, engine in ENGINES.items():
+            doc = engine(cowbear_problem).trace.to_json()
+            assert doc["label"] == "Proved"
+            doc["label"], doc["resolution"] = "Unknown", None
+            assert not replay_validate(ProofTrace.from_json(doc), cowbear_problem), name
+
+    def test_replay_answers_only_from_the_trace(self, cowbear_problem, monkeypatch):
+        traces = {name: engine(cowbear_problem).trace for name, engine in ENGINES.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replay asked a backend module")
+
+        for kind in ("fact_identify", "rule_select_forward", "rule_select_backward",
+                     "logic_deduce", "logic_abduce", "fact_check", "confusion_check"):
+            monkeypatch.setattr(SymbolicBackend, kind, refuse)
+        for name, trace in traces.items():
+            assert replay_validate(trace, cowbear_problem), name
+
+    def test_unknown_trace_cut_at_its_end_still_replays(self, cowbear_problem):
+        # a documented gap: traces do not record their budget, so running
+        # out of recorded answers reads as a budget or transport stop
+        standalone = replace(cowbear_problem,
+                             hypothesis=Hypothesis(rel("likes", "cow", "tiger")),
+                             gold_label=None)
+        for name, engine in ENGINES.items():
+            trace = engine(standalone).trace
+            assert trace.label is Label.UNKNOWN
+            trace.steps.pop()
+            assert replay_validate(trace, standalone), name
+
+    def test_flipped_confusion_flag_is_caught_at_the_next_step(self, cowbear_problem):
+        doc = prove_bidirectional(cowbear_problem).trace.to_json()
+        step = next(s for s in doc["steps"] if s["module"] == "confusion_check")
+        step["confusion"] = not step["confusion"]
+        report = replay_validate(ProofTrace.from_json(doc), cowbear_problem)
+        assert not report
+        assert (step["index"], report.step) == (6, 7)
+
+    def test_emptied_fact_identification_is_caught(self, cowbear_problem):
+        doc = prove_bidirectional(cowbear_problem).trace.to_json()
+        step = doc["steps"][0]
+        assert step["module"] == "fact_identify"
+        step["facts"] = []
+        report = replay_validate(ProofTrace.from_json(doc), cowbear_problem)
+        assert not report
+        assert report.step == 3  # the first forward selection over the facts
+
+    @pytest.mark.parametrize("renumber", [False, True])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_deleted_step_is_caught_after_the_gap(self, cowbear_problem, engine, renumber):
+        doc = ENGINES[engine](cowbear_problem).trace.to_json()
+        gap = len(doc["steps"]) // 2
+        del doc["steps"][gap - 1]
+        if renumber:
+            for index, step in enumerate(doc["steps"], start=1):
+                step["index"] = index
+        report = replay_validate(ProofTrace.from_json(doc), cowbear_problem)
+        assert not report
+        assert report.step == (gap if renumber else gap + 1)
 
     @pytest.mark.parametrize("tamper", ["renumber_children", "unknown_node", "foreign_rule"])
     def test_tampered_abduction_is_caught(self, cowbear_problem, tamper):
@@ -375,7 +429,7 @@ class TestReplayValidate:
                 from bichain.modules import DeductionStep, Derivation
                 return DeductionStep((Derivation(attr("cow", "big"), 1, (1,)),))
 
-            def rule_select_forward(self, relevant, kb, goal=None):
+            def rule_select_forward(self, relevant, kb, goals):
                 from bichain.modules import RuleSelection
                 return RuleSelection((1,))
 
@@ -454,8 +508,8 @@ class TestGeneratedProperties:
     @pytest.mark.parametrize("profile", ["default", "deep"])
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6), label=st.sampled_from(list(Label)),
-           depth=st.integers(0, 3))
-    def test_engines_are_sound_and_replay(self, profile, seed, label, depth):
+           depth=st.integers(0, 3), cut=st.integers(0, 10**6))
+    def test_engines_are_sound_and_replay(self, profile, seed, label, depth, cut):
         problem = generate_instance(InstanceSpec(label, depth, seed=seed,
                                                  **PROFILES[profile]))
         gold, _ = oracle_label(problem)
@@ -464,3 +518,12 @@ class TestGeneratedProperties:
             assert verdict.calls == len(verdict.trace.steps), name
             assert replay_validate(verdict.trace, problem), name
             assert verdict.label is gold, name
+            # one step deleted, the rest renumbered; the last step of an
+            # Unknown trace is the one deletion replay cannot see
+            doc = verdict.trace.to_json()
+            last = len(doc["steps"]) - (verdict.label is Label.UNKNOWN)
+            if last:
+                del doc["steps"][cut % last]
+                for index, step in enumerate(doc["steps"], start=1):
+                    step["index"] = index
+                assert not replay_validate(ProofTrace.from_json(doc), problem), name

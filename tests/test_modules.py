@@ -54,7 +54,7 @@ class TestRuleSelectForward:
         h = Hypothesis(consequent=rel("chases", "cow", "bear"))
         relevant = backend.fact_identify(h, cowbear_problem.kb)
         selection = backend.rule_select_forward(relevant, cowbear_problem.kb,
-                                                h.consequent)
+                                                (h.consequent,))
         assert 2 in selection.rule_ids       # conditions are facts 4 and 10
         assert selection.bridge is None
 
@@ -64,7 +64,7 @@ class TestRuleSelectForward:
             (Rule(1, (attr(VAR, "blue"),), attr(VAR, "big")),
              Rule(2, (attr("cow", "blue"),), attr("cow", "rough"))))
         selection = backend.rule_select_forward(
-            RelevantFacts((1,)), kb, attr("cow", "rough"))
+            RelevantFacts((1,)), kb, (attr("cow", "rough"),))
         assert selection.rule_ids == (2,)
         assert selection.bridge == 2
 
@@ -72,7 +72,7 @@ class TestRuleSelectForward:
         kb = KnowledgeBase.from_literals(
             [attr("cow", "blue")],
             (Rule(1, (attr("cow", "red"),), attr("cow", "big")),))
-        selection = backend.rule_select_forward(RelevantFacts((1,)), kb, None)
+        selection = backend.rule_select_forward(RelevantFacts((1,)), kb, ())
         assert not selection
 
     def test_spent_rule_is_not_a_bridge(self):
@@ -80,7 +80,7 @@ class TestRuleSelectForward:
             [attr("cow", "blue"), attr("cow", "rough")],
             (Rule(1, (attr("cow", "blue"),), attr("cow", "rough")),))
         selection = backend.rule_select_forward(
-            RelevantFacts((1, 2)), kb, attr("cow", "rough"))
+            RelevantFacts((1, 2)), kb, (attr("cow", "rough"),))
         assert selection.bridge is None
 
 
@@ -313,6 +313,6 @@ class TestMatchConsequent:
             relevant = RelevantFacts(tuple(f.id for f in problem.kb.facts))
             for rule in problem.kb.rules:
                 selection = backend.rule_select_forward(
-                    relevant, problem.kb, rule.consequent)
+                    relevant, problem.kb, (rule.consequent,))
                 if selection.bridge is not None:
                     assert len(selection.rule_ids) == 1
