@@ -104,8 +104,7 @@ def _cmd_oracle(args) -> int:
     problem = _load_single(args.file, "symbolic")
     if problem.options:
         for i, option in enumerate(problem.options, start=1):
-            from dataclasses import replace
-            label, _ = oracle_label(replace(problem, options=(), hypothesis=option))
+            label, _ = oracle_label(problem, option)
             print(f"option {i}: {label.value}")
         return 0
     label, reference = oracle_label(problem)

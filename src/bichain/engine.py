@@ -19,7 +19,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .language import Hypothesis, Label, Problem, render_literal
-from .remote import TransportError
 from .modules import (
     DeductionStep,
     Derivation,
@@ -31,6 +30,7 @@ from .modules import (
     RelevantFacts,
     RuleSelection,
     SymbolicBackend,
+    TransportError,
     abduce_goal_set,
     check_hypothesis,
     deserialize_binding,
@@ -116,13 +116,13 @@ class ProofTrace:
 class Verdict:
     label: Label
     trace: ProofTrace
-    calls: int
     warnings: tuple[str, ...] = ()
     derived_facts: tuple[Fact, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.calls != len(self.trace.steps):
-            raise ValueError("call count must equal the number of trace steps")
+    @property
+    def calls(self) -> int:
+        """Inference calls: one per trace step."""
+        return len(self.trace.steps)
 
 
 def _goal_payload(goal: Goal) -> dict:
@@ -228,8 +228,7 @@ class _Run:
         # evaluation, so nothing is shareable when a condition was present.
         derived = () if self.hypothesis.condition else \
             self.kb.facts[len(self.problem.kb.facts):]
-        return Verdict(label, self.trace, len(self.trace.steps), tuple(self.warnings),
-                       tuple(derived))
+        return Verdict(label, self.trace, tuple(self.warnings), tuple(derived))
 
 
 def _evaluate(run: _Run, search: Callable[[_Run, EngineConfig], tuple[Label, dict | None]],
@@ -264,15 +263,15 @@ class _Node:
 
 
 class _Frontier:
-    """Every node of bi's backward search by id, and the one expansion rule.
+    """The root of bi's backward search and the one expansion rule.
 
     Only the engine drives it (trace replay re-runs the engine).
     """
 
     def __init__(self, q: Literal):
-        root = _Node(id=1, gs=GoalSet((Goal(q),)))
-        self.nodes = {root.id: root}
-        self.seen = {root.gs.signature()}
+        self.root = _Node(id=1, gs=GoalSet((Goal(q),)))
+        self.node_count = 1
+        self.seen = {self.root.gs.signature()}
         self.fresh = 0
 
     def expand(self, node: _Node, goal: Literal,
@@ -316,12 +315,12 @@ class _Frontier:
             if sig in self.seen:
                 continue
             self.seen.add(sig)
-            child = _Node(id=len(self.nodes) + 1, gs=merged, parent=node,
+            self.node_count += 1
+            child = _Node(id=self.node_count, gs=merged, parent=node,
                           expanded_goal=goal, rule_id=gs.origin_rule,
                           env={**node.env, **commitments},
                           new_goals=tuple(g.literal for g in new_goals),
                           ancestors=ancestors)
-            self.nodes[child.id] = child
             children.append(child)
         return children
 
@@ -391,7 +390,7 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
         return res.label, _fact_resolution(res)
 
     frontier = _Frontier(q)
-    live: list[_Node] = [frontier.nodes[1]]  # open alternatives, in search order
+    live: list[_Node] = [frontier.root]  # open alternatives, in search order
     norule: set[Literal] = set()
 
     direction = Direction.FORWARD
@@ -639,12 +638,13 @@ def _search_backward(run: _Run, config: EngineConfig) -> tuple[Label, dict | Non
 
     def prove(goal: Literal, budget: int, path: tuple[Literal, ...]
               ) -> tuple[Label, dict | None, bool]:
-        """Returns (label, proof tree, exhausted-without-cutoff)."""
+        """Returns (label, proof, exhausted-without-cutoff): a proof tree
+        when Proved, the deciding check's fact resolution when Disproved."""
         res = run.check(Direction.BACKWARD, Hypothesis(consequent=goal))
         if res.label is Label.PROVED:
             return Label.PROVED, {"literal": term_string(goal), "fact": res.evidence}, True
         if res.label is Label.DISPROVED:
-            return Label.DISPROVED, None, True
+            return Label.DISPROVED, _fact_resolution(res), True
         if goal in path:
             return Label.UNKNOWN, None, True  # a cycle never unblocks with depth
         if budget <= 0:
@@ -685,9 +685,7 @@ def _search_backward(run: _Run, config: EngineConfig) -> tuple[Label, dict | Non
         if label is Label.PROVED:
             return Label.PROVED, {"kind": "tree", "root": proof}
         if label is Label.DISPROVED:
-            # directly contradicted by a fact
-            evidence = kb.lookup(q.negated())
-            return Label.DISPROVED, {"kind": "fact", "fact": evidence.id if evidence else None}
+            return Label.DISPROVED, proof  # directly contradicted by a fact
         neg_label, neg_proof, neg_exhausted = prove(q.negated(), depth, ())
         if neg_label is Label.PROVED:
             return Label.DISPROVED, {"kind": "tree", "root": neg_proof}

@@ -258,6 +258,11 @@ def select_by_goal(goals: tuple[Literal, ...], rules: Sequence[Rule]) -> RuleSel
     return RuleSelection(tuple(ordered), by_goal=tuple(by_goal))
 
 
+class TransportError(Exception):
+    """The backend could not answer a module call (for the remote backend,
+    the endpoint stayed unreachable after every retry)."""
+
+
 class ModuleBackend(Protocol):
     """What an engine needs from a backend.
 
@@ -266,8 +271,8 @@ class ModuleBackend(Protocol):
     ``bind_problem`` is called once per evaluation before any module call;
     ``drain_responses`` hands over raw response records for the trace step
     just answered, and ``drain_warnings`` the warnings gathered so far.  A
-    method may raise ``bichain.remote.TransportError``: the engine then ends
-    the evaluation as Unknown with a warning.
+    method may raise ``TransportError``: the engine then ends the evaluation
+    as Unknown with a warning.
     """
 
     handles_freeform: bool

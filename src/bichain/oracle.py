@@ -2,9 +2,10 @@
 
 The closure is a knowledge base holding every derivable fact at its minimal
 depth, each citing one canonical derivation (lowest rule id, then smallest
-premise ids), which is enough to label any hypothesis and to extract a
-reference proof.  Premise precision and recall against that reference use
-exact rational arithmetic.
+premise ids), which is enough to label any hypothesis.  The reference proof
+is the proved fact's canonical derivation in the closure, read in place.
+Premise precision and recall against that reference use exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .engine import Direction, ProofTrace, TraceStep, _check_payload, _deduction_payload
 from .language import Hypothesis, Label, Problem
-from .modules import Derivation, FactCheckResult
+from .modules import Derivation, FactCheckResult, serialize_binding
 from .terms import (
     Fact,
     KnowledgeBase,
@@ -59,65 +60,54 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
 
 
 @dataclass(frozen=True)
-class ProofNode:
-    """Reference-proof node: a given-fact leaf or one rule application."""
-
-    literal: Literal
-    fact_id: int
-    rule_id: int | None = None
-    children: tuple["ProofNode", ...] = ()
-    binding: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class ReferenceProof:
-    """Minimal-depth derivation of the hypothesis (or of its negation)."""
+    """Minimal-depth proof of the hypothesis (or of its negation): the
+    target fact's canonical derivation, read from the closure."""
 
-    root: ProofNode
+    closure: KnowledgeBase
+    target: Fact
     given_count: int
+
+    def _facts(self) -> list[Fact]:
+        """The proof's facts, each once and after its premises."""
+        out: list[Fact] = []
+        seen: set[int] = set()
+
+        def visit(fact: Fact) -> None:
+            if fact.id in seen:
+                return
+            seen.add(fact.id)
+            for p in fact.premises:
+                visit(self.closure.fact(p))
+            out.append(fact)
+
+        visit(self.target)
+        return out
 
     def premises(self) -> frozenset[tuple[str, int]]:
         """Unique given facts and rules used, as ("fact"/"rule", id) pairs."""
-        out: set[tuple[str, int]] = set()
-
-        def walk(node: ProofNode) -> None:
-            if node.rule_id is None:
-                out.add(("fact", node.fact_id))
-                return
-            out.add(("rule", node.rule_id))
-            for child in node.children:
-                walk(child)
-
-        walk(self.root)
-        return frozenset(out)
+        return frozenset(("fact", f.id) if f.given else ("rule", f.rule_id)
+                         for f in self._facts())
 
     def to_trace(self, label: Label, meta: str = "") -> ProofTrace:
-        """Render the proof as a trace of one deduction per derived node, then
+        """Render the proof as a trace of one deduction per derived fact, then
         the check of the proved literal; replay re-runs it as the
         ``reference`` engine."""
-        nodes: list[ProofNode] = []
-        seen: set[Literal] = set()
-
-        def collect(node: ProofNode) -> None:
-            for child in node.children:
-                collect(child)
-            if node.rule_id is not None and node.literal not in seen:
-                seen.add(node.literal)
-                nodes.append(node)
-
-        collect(self.root)
         replay_id: dict[int, int] = {}
         trace = ProofTrace(engine="reference", problem=meta)
-        for i, node in enumerate(nodes, start=1):
-            premises = tuple(replay_id.get(c.fact_id, c.fact_id) for c in node.children)
-            replay_id[node.fact_id] = self.given_count + i
-            derived = Derivation(node.literal, node.rule_id, premises, node.binding)
+        derived = [f for f in self._facts() if not f.given]
+        for i, fact in enumerate(derived, start=1):
+            binding = instance_binding(self.closure.rule(fact.rule_id),
+                                       [self.closure.fact(p).literal for p in fact.premises])
+            premises = tuple(replay_id.get(p, p) for p in fact.premises)
+            replay_id[fact.id] = self.given_count + i
+            step = Derivation(fact.literal, fact.rule_id, premises, serialize_binding(binding))
             trace.steps.append(TraceStep(i, Direction.FORWARD.value, "logic_deduce",
-                                         _deduction_payload((node.rule_id,), (derived,))))
-        evidence = replay_id.get(self.root.fact_id, self.root.fact_id)
+                                         _deduction_payload((fact.rule_id,), (step,))))
+        evidence = replay_id.get(self.target.id, self.target.id)
         trace.steps.append(TraceStep(
             len(trace.steps) + 1, Direction.FORWARD.value, "fact_check",
-            _check_payload(Hypothesis(self.root.literal),
+            _check_payload(Hypothesis(self.target.literal),
                            FactCheckResult(Label.PROVED, evidence=evidence))))
         trace.label = label
         trace.resolution = {"kind": "fact", "fact": evidence}
@@ -143,33 +133,10 @@ def oracle_label(problem: Problem, hypothesis: Hypothesis | None = None,
     negative = closure.lookup(q.negated())
     positive = closure.lookup(q)
     if negative is not None:
-        return Label.DISPROVED, extract_reference(closure, negative, kb)
+        return Label.DISPROVED, ReferenceProof(closure, negative, len(kb.facts))
     if positive is not None:
-        return Label.PROVED, extract_reference(closure, positive, kb)
+        return Label.PROVED, ReferenceProof(closure, positive, len(kb.facts))
     return Label.UNKNOWN, None
-
-
-def extract_reference(closure: KnowledgeBase, target: Fact,
-                      kb: KnowledgeBase) -> ReferenceProof:
-    """Minimal-depth proof tree following each fact's canonical derivation."""
-    memo: dict[int, ProofNode] = {}
-
-    def build(entry: Fact) -> ProofNode:
-        cached = memo.get(entry.id)
-        if cached is not None:
-            return cached
-        if entry.given:
-            node = ProofNode(entry.literal, entry.id)
-        else:
-            children = tuple(build(closure.fact(p)) for p in entry.premises)
-            binding = instance_binding(kb.rule(entry.rule_id),
-                                       [c.literal for c in children])
-            node = ProofNode(entry.literal, entry.id, entry.rule_id, children,
-                             tuple(sorted((v.name, e.name) for v, e in binding.items())))
-        memo[entry.id] = node
-        return node
-
-    return ReferenceProof(build(target), given_count=len(kb.facts))
 
 
 def trace_premises(trace: ProofTrace, given_count: int) -> frozenset[tuple[str, int]]:

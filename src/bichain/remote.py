@@ -37,6 +37,7 @@ from .modules import (
     GoalStatus,
     RelevantFacts,
     RuleSelection,
+    TransportError,
     abduce_goal_set,
     match_consequent,
     select_by_goal,
@@ -52,10 +53,6 @@ TEMPLATE_KINDS = (
 ENV_ENDPOINT = "BICHAIN_ENDPOINT"
 ENV_API_KEY = "BICHAIN_API_KEY"
 ENV_MODEL = "BICHAIN_MODEL"
-
-
-class TransportError(Exception):
-    """The endpoint stayed unreachable after every retry."""
 
 
 class RateLimited(Exception):
@@ -502,14 +499,16 @@ class RemoteBackend:
             if label is Label.PROVED:
                 evidence = index.fact_id(premise_number) if premise_number else None
                 gs = goalsets[pending]
-                goals = tuple(
-                    replace(g, status=GoalStatus.PROVEN,
-                            fact_id=evidence if evidence is not None else
-                            (kb.lookup(g.literal).id if g.literal.is_ground
-                             and kb.lookup(g.literal) else None))
-                    if g.status is GoalStatus.OPEN else g
-                    for g in gs.goals)
-                updated[pending] = replace(gs, goals=goals)
+                goals = []
+                for g in gs.goals:
+                    if g.status is GoalStatus.OPEN:
+                        # a goal's own stored fact is its evidence; one with none
+                        # keeps the cited premise, which replay then rejects
+                        own = kb.lookup(g.literal) if g.literal.is_ground else None
+                        g = replace(g, status=GoalStatus.PROVEN,
+                                    fact_id=own.id if own is not None else evidence)
+                    goals.append(g)
+                updated[pending] = replace(gs, goals=tuple(goals))
             elif label is Label.DISPROVED:
                 gs = goalsets[pending]
                 goals = []

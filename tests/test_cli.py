@@ -94,6 +94,18 @@ class TestOracle:
         assert lines[0] == "Proved"
         assert lines[1] == "premises: fact 4, fact 10, rule 2, rule 6, rule 7, rule 9"
 
+    def test_options_print_one_label_each(self, capsys, tmp_path):
+        path = tmp_path / "opts.jsonl"
+        path.write_text(json.dumps({
+            "facts": ["The cow is blue."],
+            "rules": ["If someone is blue then they are not red."],
+            "options": ["The cow is red.", "The cow is blue.", "The cow is big."]}) + "\n",
+            encoding="utf-8")
+        code, out, _ = run(capsys, "oracle", str(path))
+        assert code == 0
+        assert out.splitlines() == ["option 1: Disproved", "option 2: Proved",
+                                    "option 3: Unknown"]
+
 
 class TestGen:
     def test_writes_deterministic_corpus(self, capsys, tmp_path):

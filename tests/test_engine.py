@@ -22,7 +22,7 @@ from bichain.engine import (
 from bichain.generate import InstanceSpec, PROFILES, generate_instance
 from bichain.language import Hypothesis, Label, Problem, parse_problem, render_literal
 from bichain.modules import SymbolicBackend
-from bichain.oracle import oracle_label
+from bichain.oracle import oracle_label, premise_prf
 from bichain.remote import TransportError
 from bichain.terms import KnowledgeBase, Rule, VAR, attr, rel, term_string
 
@@ -512,7 +512,11 @@ class TestGeneratedProperties:
     def test_engines_are_sound_and_replay(self, profile, seed, label, depth, cut):
         problem = generate_instance(InstanceSpec(label, depth, seed=seed,
                                                  **PROFILES[profile]))
-        gold, _ = oracle_label(problem)
+        gold, reference = oracle_label(problem)
+        if reference is not None:
+            trace = reference.to_trace(gold, problem.meta)
+            assert replay_validate(trace, problem)
+            assert premise_prf(trace, reference) == (1, 1)
         for name, engine in ENGINES.items():
             verdict = engine(problem)
             assert verdict.calls == len(verdict.trace.steps), name

@@ -112,7 +112,7 @@ class TestOracleLabel:
         label, reference = oracle_label(
             cowbear_problem, Hypothesis(attr("cow", "blue")))
         assert label is Label.PROVED
-        assert reference.root.rule_id is None
+        assert reference.target.rule_id is None
         assert reference.premises() == frozenset({("fact", 4)})
 
     def test_disproved_references_the_negation(self):
@@ -122,7 +122,7 @@ class TestOracleLabel:
             "hypothesis: The cow chases the bear.\n")
         label, reference = oracle_label(problem)
         assert label is Label.DISPROVED
-        assert reference.root.literal == rel("chases", "cow", "bear", False)
+        assert reference.target.literal == rel("chases", "cow", "bear", False)
 
     def test_condition_asserted_before_saturation(self):
         problem = parse_problem(

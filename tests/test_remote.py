@@ -1,13 +1,19 @@
 """Remote backend: prompt rendering, response grammars, wire behavior."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import bichain
 from bichain.engine import EngineConfig, prove_bidirectional, replay_validate
 from bichain.language import Label, parse_problem
+from bichain.modules import Goal, GoalSet
 from bichain.remote import (
     Cassette,
     ModuleResponse,
@@ -20,6 +26,7 @@ from bichain.remote import (
     parse_module_response,
     render_prompt,
 )
+from bichain.terms import KnowledgeBase, attr
 
 DEMO = parse_problem(
     "fact: The cow is blue.\n"
@@ -300,6 +307,31 @@ class TestFullRuns:
         ]))
         verdict = prove_bidirectional(freeform, EngineConfig(), backend)
         assert verdict.label is Label.PROVED
+
+    def test_proved_goal_set_cites_each_goal_its_own_fact(self):
+        kb = KnowledgeBase.from_literals([attr("cow", "blue"), attr("cow", "big")])
+        answer = "Fact Check:\nThe hypothesis can be directly proved by Premise 1."
+        backend = RemoteBackend(offline_config(), transport=Cassette([answer, answer]))
+        for second, fact in ((attr("cow", "big"), 2), (attr("cow", "red"), 1)):
+            # a goal without a stored fact keeps the cited premise for replay to reject
+            gs = GoalSet((Goal(attr("cow", "blue")), Goal(second)))
+            res = backend.fact_check((gs,), kb)
+            assert [g.fact_id for g in res.goalsets[0].goals] == [1, fact]
+
+
+class TestImports:
+    def test_package_import_leaves_requests_unloaded(self):
+        code = ("import sys, bichain, bichain.bench, bichain.cli\n"
+                "assert 'requests' not in sys.modules, 'requests imported'\n"
+                "from bichain.modules import TransportError as a\n"
+                "from bichain.remote import TransportError as b\n"
+                "assert a is b\n")
+        src = str(Path(bichain.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class _StubHandler(BaseHTTPRequestHandler):
