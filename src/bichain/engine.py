@@ -457,8 +457,7 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
                         "rules": list(selection.rule_ids), "bridge": selection.bridge})
             step = DeductionStep()
             if selection.rule_ids:
-                step = backend.logic_deduce(
-                    RelevantFacts(tuple(relevant_ids)), selection, run.kb)
+                step = backend.logic_deduce(selection, run.kb)
                 run.record(direction, "logic_deduce",
                            _deduction_payload(selection.rule_ids, step.derived))
             if step.derived:
@@ -574,7 +573,7 @@ def _search_forward(run: _Run, config: EngineConfig) -> tuple[Label, dict | None
                     "rules": list(selection.rule_ids), "bridge": selection.bridge})
         applied = ()
         if selection.rule_ids:
-            applied = run.backend.logic_deduce(relevant, selection, run.kb).derived[:1]
+            applied = run.backend.logic_deduce(selection, run.kb).derived[:1]
             run.record(Direction.FORWARD, "logic_deduce",
                        _deduction_payload(selection.rule_ids, applied,
                                           applied=applied[0].rule_id if applied else None))
@@ -594,26 +593,16 @@ def _search_forward(run: _Run, config: EngineConfig) -> tuple[Label, dict | None
 
 
 def _groundings(goals: tuple[Goal, ...], universe: tuple[str, ...]):
-    """Every grounding of the template variables, in sorted-constant order."""
-    variables: list[Entity] = []
-    for g in goals:
-        for v in g.literal.variables():
-            if v not in variables:
-                variables.append(v)
-    if not variables:
-        yield tuple(g.literal for g in goals)
+    """Every grounding of the goal set's free variable (a rule binds at most
+    one), in sorted-constant order."""
+    literals = tuple(g.literal for g in goals)
+    var = next((v for lit in literals for v in lit.variables()), None)
+    if var is None:
+        yield literals
         return
-
-    def rec_assign(i: int, binding: Binding):
-        if i == len(variables):
-            yield tuple(substitute_partial(g.literal, binding) for g in goals)
-            return
-        for c in universe:
-            binding[variables[i]] = Entity(c)
-            yield from rec_assign(i + 1, binding)
-        del binding[variables[i]]
-
-    yield from rec_assign(0, {})
+    for c in universe:
+        binding = {var: Entity(c)}
+        yield tuple(substitute_partial(lit, binding) for lit in literals)
 
 
 def prove_backward(problem: Problem, config: EngineConfig | None = None,
@@ -802,8 +791,7 @@ class _RecordedBackend:
                         for g, (_, ids) in zip(goals, p.get("by_goal", [])))
         return RuleSelection(tuple(self._rule(kb, i).id for i in p["rules"]), by_goal=by_goal)
 
-    def logic_deduce(self, relevant: RelevantFacts, selection: RuleSelection,
-                     kb: KnowledgeBase) -> DeductionStep:
+    def logic_deduce(self, selection: RuleSelection, kb: KnowledgeBase) -> DeductionStep:
         derived = []
         for d in self._next("logic_deduce")["derived"]:
             rule, premises = self._rule(kb, d["rule"]), tuple(d["premises"])
@@ -859,7 +847,7 @@ def _search_reference(run: _Run, config: EngineConfig) -> tuple[Label, dict | No
     answers last, until the knowledge base decides; then check that literal."""
     q = run.hypothesis.consequent
     while run.kb.entailed(q) is Entailment.UNDETERMINED:
-        step = run.backend.logic_deduce(RelevantFacts(()), RuleSelection(()), run.kb)
+        step = run.backend.logic_deduce(RuleSelection(()), run.kb)
         run.record(Direction.FORWARD, "logic_deduce",
                    _deduction_payload(tuple(d.rule_id for d in step.derived), step.derived))
         run.derive(step.derived)

@@ -4,8 +4,9 @@ Engines program against ModuleBackend: seven module calls (fact
 identification, forward and backward rule selection, deduction, abduction,
 fact check, and confusion check) plus three hooks through which a backend
 sees the problem and reports back.  The symbolic backend resolves every
-contract by exact unification against the knowledge base; the remote backend
-(bichain.remote) answers the same contracts over the wire.
+contract by exact unification against the knowledge base, forward selection
+and deduction through its join (``KnowledgeBase.instances``); the remote
+backend (bichain.remote) answers the same contracts over the wire.
 
 Every operation is pure.  Call accounting lives in the engine: one module
 invocation is one inference call, whichever backend serves it.
@@ -26,8 +27,6 @@ from .terms import (
     KnowledgeBase,
     Literal,
     Rule,
-    constants_in_order,
-    rule_bindings,
     substitute,
     substitute_partial,
     unify,
@@ -291,8 +290,7 @@ class ModuleBackend(Protocol):
     def rule_select_backward(self, goals: tuple[Literal, ...],
                              kb: KnowledgeBase) -> RuleSelection: ...
 
-    def logic_deduce(self, relevant: RelevantFacts, selection: RuleSelection,
-                     kb: KnowledgeBase) -> DeductionStep: ...
+    def logic_deduce(self, selection: RuleSelection, kb: KnowledgeBase) -> DeductionStep: ...
 
     def logic_abduce(self, goal: Literal, selection: RuleSelection,
                      kb: KnowledgeBase) -> tuple[GoalSet, ...]: ...
@@ -346,25 +344,17 @@ class SymbolicBackend:
         goal-blind forward chaining); selection then collapses to it, lowest
         rule id first.  Goal literals may be templates.
         """
-        literal_map = {kb.fact(i).literal: i for i in relevant.fact_ids}
-        candidates = constants_in_order(f.literal for f in kb.facts
-                                        if f.literal in literal_map)
-        applicable = []
-        for rule in kb.rules:
-            bindings = rule_bindings(rule, literal_map, candidates)
-            if not bindings:
-                continue
-            applicable.append(rule.id)
-            for binding, _ in bindings:
-                consequent = substitute_partial(rule.consequent, binding)
-                if kb.lookup(consequent) is not None:
-                    continue  # a bridge must still have something to derive
-                for target in goals:
-                    if target.is_ground:
-                        if consequent == target:
-                            return RuleSelection((rule.id,), bridge=rule.id)
-                    elif unify(target, consequent) is not None:
+        applicable: dict[int, None] = {}
+        for rule, consequent, _, _ in kb.instances(kb.rules, among=relevant.fact_ids):
+            applicable[rule.id] = None
+            if kb.lookup(consequent) is not None:
+                continue  # a bridge must still have something to derive
+            for target in goals:
+                if target.is_ground:
+                    if consequent == target:
                         return RuleSelection((rule.id,), bridge=rule.id)
+                elif unify(target, consequent) is not None:
+                    return RuleSelection((rule.id,), bridge=rule.id)
         return RuleSelection(tuple(applicable))
 
     def rule_select_backward(self, goals: tuple[Literal, ...], kb: KnowledgeBase) -> RuleSelection:
@@ -373,8 +363,7 @@ class SymbolicBackend:
 
     # -- deduction / abduction ----------------------------------------------
 
-    def logic_deduce(self, relevant: RelevantFacts, selection: RuleSelection,
-                     kb: KnowledgeBase) -> DeductionStep:
+    def logic_deduce(self, selection: RuleSelection, kb: KnowledgeBase) -> DeductionStep:
         """Instantiate every selected rule against the current fact set.
 
         Novel consequents only, deduplicated by literal; each derivation
@@ -382,19 +371,14 @@ class SymbolicBackend:
         """
         if not selection.rule_ids:
             raise ValueError("deduction needs a non-empty rule selection")
-        literal_map = {f.literal: f.id for f in kb.facts}
-        candidates = constants_in_order(literal_map)
         derived: list[Derivation] = []
         emitted: set[Literal] = set()
-        for rule_id in selection.rule_ids:
-            rule = kb.rule(rule_id)
-            for binding, premises in rule_bindings(rule, literal_map, candidates):
-                literal = substitute_partial(rule.consequent, binding)
-                if literal in literal_map or literal in emitted:
-                    continue
-                emitted.add(literal)
-                derived.append(Derivation(literal, rule.id, premises,
-                                          serialize_binding(binding)))
+        for rule, literal, binding, premises in kb.instances(
+                kb.rule(i) for i in selection.rule_ids):
+            if kb.lookup(literal) is not None or literal in emitted:
+                continue
+            emitted.add(literal)
+            derived.append(Derivation(literal, rule.id, premises, serialize_binding(binding)))
         return DeductionStep(tuple(derived))
 
     def logic_abduce(self, goal: Literal, selection: RuleSelection,

@@ -16,47 +16,31 @@ from fractions import Fraction
 from .engine import Direction, ProofTrace, TraceStep, _check_payload, _deduction_payload
 from .language import Hypothesis, Label, Problem
 from .modules import Derivation, FactCheckResult, serialize_binding
-from .terms import (
-    Fact,
-    KnowledgeBase,
-    Literal,
-    constants_in_order,
-    instance_binding,
-    rule_bindings,
-    substitute_partial,
-)
+from .terms import Fact, KnowledgeBase, Literal, instance_binding
 
 
 def saturate(kb: KnowledgeBase) -> KnowledgeBase:
     """Breadth-layered fixpoint: layer k holds exactly the facts of minimal
     depth k, each citing its canonical depth-k derivation (lowest rule id,
-    then smallest premise ids).  Applying any rule to the result yields
-    nothing new.
+    then smallest premise ids).  Each layer is one ``kb.instances`` join over
+    every rule, stored with ``add_derived``.  Applying any rule to the result
+    yields nothing new.
 
     Terminates because the ground literal space is finite (constants times
     adjectives plus constant pairs times verbs, both signs).
     """
-    facts = list(kb.facts)
-    known: dict[Literal, int] = {f.literal: f.id for f in facts}
-
     while True:
-        candidates = constants_in_order(known)
         found: dict[Literal, tuple[int, tuple[int, ...]]] = {}
-        for rule in kb.rules:
-            for binding, premises in rule_bindings(rule, known, candidates):
-                conclusion = substitute_partial(rule.consequent, binding)
-                if conclusion in known:
-                    continue
-                best = found.get(conclusion)
-                if best is None or (rule.id, premises) < best:
-                    found[conclusion] = (rule.id, premises)
+        for rule, conclusion, _, premises in kb.instances(kb.rules):
+            if kb.lookup(conclusion) is not None:
+                continue
+            best = found.get(conclusion)
+            if best is None or (rule.id, premises) < best:
+                found[conclusion] = (rule.id, premises)
         if not found:
-            break
-        for literal, (rule_id, premises) in found.items():
-            depth = 1 + max(facts[p - 1].depth for p in premises)
-            facts.append(Fact(len(facts) + 1, literal, rule_id, premises, depth))
-            known[literal] = len(facts)
-    return KnowledgeBase(tuple(facts), kb.rules)
+            return kb
+        kb = kb.add_derived([(literal, rule_id, premises)
+                             for literal, (rule_id, premises) in found.items()])
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .modules import (
     select_by_goal,
     serialize_binding,
 )
-from .terms import KnowledgeBase, Literal, constants_in_order, rule_bindings, substitute_partial
+from .terms import KnowledgeBase, Literal
 
 TEMPLATE_KINDS = (
     "fact_identify", "rule_select_forward", "rule_select_backward",
@@ -390,19 +390,16 @@ class RemoteBackend:
 
     def _reconstruct(self, literal: Literal, kb: KnowledgeBase,
                      cited_rules: list[int]) -> Derivation | None:
-        """Find a rule application deriving the literal from current facts."""
-        literal_map = {f.literal: f.id for f in kb.facts}
-        candidates = constants_in_order(literal_map)
-        rule_order = cited_rules + [r.id for r in kb.rules if r.id not in cited_rules]
-        for rid in rule_order:
-            rule = kb.rule(rid)
-            for binding, premises in rule_bindings(rule, literal_map, candidates):
-                if substitute_partial(rule.consequent, binding) == literal:
-                    return Derivation(literal, rid, premises, serialize_binding(binding))
+        """Find a rule application deriving the literal from current facts,
+        trying the cited rules first."""
+        rules = [kb.rule(i) for i in cited_rules] + [r for r in kb.rules
+                                                     if r.id not in cited_rules]
+        for rule, conclusion, binding, premises in kb.instances(rules):
+            if conclusion == literal:
+                return Derivation(literal, rule.id, premises, serialize_binding(binding))
         return None
 
-    def logic_deduce(self, relevant: RelevantFacts, selection: RuleSelection,
-                     kb: KnowledgeBase) -> DeductionStep:
+    def logic_deduce(self, selection: RuleSelection, kb: KnowledgeBase) -> DeductionStep:
         index, premises = self._premises(kb)
         context = "\n".join(
             f"{index.fact_count + rid}: {render_rule(kb.rule(rid))}"
@@ -476,10 +473,12 @@ class RemoteBackend:
                 return FactCheckResult(Label.UNKNOWN)
             label, premise_number = response.payload
             evidence = index.fact_id(premise_number) if premise_number else None
-            if evidence is None and label is not Label.UNKNOWN:
-                lookup = kb.lookup(target.consequent if label is Label.PROVED
-                                   else target.consequent.negated())
-                evidence = lookup.id if lookup else None
+            if label is not Label.UNKNOWN:
+                # the stored hypothesis (or negation) is the evidence; without
+                # one the cited premise stays, which replay then rejects
+                own = kb.lookup(target.consequent if label is Label.PROVED
+                                else target.consequent.negated())
+                evidence = own.id if own is not None else evidence
             return FactCheckResult(label, evidence=evidence)
         goalsets: tuple[GoalSet, ...] = tuple(target)
         pending = next((i for i, gs in enumerate(goalsets)

@@ -1,16 +1,18 @@
-"""Ground and template literals, unification, and knowledge-base bookkeeping.
+"""Ground and template literals, unification, and the knowledge base.
 
 The term language is deliberately small: an entity is a lowercase constant or
 the single rule-local variable; an atom is either an attribute of one entity
 or a binary relation between two; a literal is a signed atom.  Rules carry at
 most one distinct variable, so unification never needs an occurs check or
-binding chains.
+binding chains.  The knowledge base owns the one join of rules against its
+facts (``KnowledgeBase.instances``), shared by saturation, the symbolic
+modules and remote reconstruction.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 
@@ -198,29 +200,6 @@ def constants_in_order(literals: Iterable[Literal]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def rule_bindings(rule: Rule, known: Mapping[Literal, int], candidates: Sequence[str],
-                  ) -> list[tuple[Binding, tuple[int, ...]]]:
-    """The join: every binding under which each rule condition is a known
-    literal, with the ids of those literals as premises.
-
-    ``known`` maps ground literals to fact ids; the rule variable (if any)
-    tries the candidate constants in the order given.
-    """
-    var = rule.variable()
-    options: list[Binding] = [{}] if var is None else [{var: Entity(c)} for c in candidates]
-    found = []
-    for binding in options:
-        premises = []
-        for cond in rule.conditions:
-            fact_id = known.get(substitute_partial(cond, binding))
-            if fact_id is None:
-                break
-            premises.append(fact_id)
-        else:
-            found.append((binding, tuple(premises)))
-    return found
-
-
 def instance_binding(rule: Rule, grounds: Sequence[Literal]) -> Binding | None:
     """The binding under which the rule's conditions are exactly the given
     ground literals, in order; None when there is none."""
@@ -330,11 +309,12 @@ class Rule:
 
 
 class KnowledgeBase:
-    """Immutable fact/rule store, deduplicated by literal.
+    """Immutable fact/rule store, deduplicated and indexed by literal.
 
     Fact ids are 1-based insertion positions (the numbering used when
     premises are rendered for prompts and reports).  ``add_derived`` returns
     a new store; instances can be shared freely across evaluations.
+    ``instances`` is the one join of rules against stored facts.
     """
 
     __slots__ = ("facts", "rules", "_by_literal", "_rule_by_id", "consistent")
@@ -342,12 +322,12 @@ class KnowledgeBase:
     def __init__(self, facts: tuple[Fact, ...] = (), rules: tuple[Rule, ...] = ()):
         self.facts = facts
         self.rules = rules
-        self._by_literal: dict[Literal, Fact] = {}
+        self._by_literal: dict[Literal, int] = {}
         self.consistent = True
-        for f in facts:
+        for position, f in enumerate(facts, start=1):
             if f.literal in self._by_literal:
                 raise ValueError(f"duplicate fact literal: {f.literal}")
-            self._by_literal[f.literal] = f
+            self._by_literal[f.literal] = position
         for f in facts:
             if f.literal.negated() in self._by_literal:
                 self.consistent = False
@@ -374,14 +354,41 @@ class KnowledgeBase:
 
     def has_fact(self, fact_id: int | None, literal: Literal) -> bool:
         """Is ``fact_id`` a stored fact whose literal is ``literal``?"""
-        return fact_id is not None and 1 <= fact_id <= len(self.facts) \
-            and self.facts[fact_id - 1].literal == literal
+        return fact_id is not None and self._by_literal.get(literal) == fact_id
 
     def rule(self, rule_id: int) -> Rule:
         return self._rule_by_id[rule_id]
 
     def lookup(self, literal: Literal) -> Fact | None:
-        return self._by_literal.get(literal)
+        fact_id = self._by_literal.get(literal)
+        return None if fact_id is None else self.facts[fact_id - 1]
+
+    def instances(self, rules: Iterable[Rule], among: Iterable[int] | None = None,
+                  ) -> Iterator[tuple[Rule, Literal, Binding, tuple[int, ...]]]:
+        """The join: every instance of each rule whose conditions are all
+        stored facts, as (rule, conclusion, binding, premise ids).
+
+        Rules go in the order given; a rule's variable tries the constants by
+        first appearance over the joined facts, which are the whole store or,
+        with ``among``, only the facts with those ids.
+        """
+        known = self._by_literal
+        if among is not None:
+            ids = set(among)
+            known = {lit: i for lit, i in known.items() if i in ids}
+        candidates = [Entity(c) for c in constants_in_order(known)]
+        for rule in rules:
+            var = rule.variable()
+            for binding in [{}] if var is None else ({var: c} for c in candidates):
+                premises = []
+                for cond in rule.conditions:
+                    fact_id = known.get(substitute_partial(cond, binding))
+                    if fact_id is None:
+                        break
+                    premises.append(fact_id)
+                else:
+                    yield (rule, substitute_partial(rule.consequent, binding), binding,
+                           tuple(premises))
 
     def entailed(self, goal: Literal) -> Entailment:
         """Three-way fact-level entailment of a ground goal.

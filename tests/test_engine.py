@@ -425,7 +425,7 @@ class TestReplayValidate:
             "hypothesis: The cow is big.\n")
 
         class LyingBackend(SymbolicBackend):
-            def logic_deduce(self, relevant, selection, kb):
+            def logic_deduce(self, selection, kb):
                 from bichain.modules import DeductionStep, Derivation
                 return DeductionStep((Derivation(attr("cow", "big"), 1, (1,)),))
 
@@ -442,7 +442,7 @@ class TestReplayValidate:
 class TestTransportFailures:
     def test_engine_survives_transport_errors(self, cowbear_problem):
         class DeadBackend(SymbolicBackend):
-            def logic_deduce(self, relevant, selection, kb):
+            def logic_deduce(self, selection, kb):
                 raise TransportError("wire down")
 
         verdict = prove_bidirectional(cowbear_problem, backend=DeadBackend())

@@ -83,6 +83,14 @@ class TestRuleSelectForward:
             RelevantFacts((1, 2)), kb, (attr("cow", "rough"),))
         assert selection.bridge is None
 
+    def test_rule_on_an_irrelevant_fact_is_not_selected(self):
+        kb = KnowledgeBase.from_literals(
+            [attr("cow", "blue"), attr("bear", "red")],
+            (Rule(1, (attr("bear", "red"),), attr("bear", "big")),
+             Rule(2, (attr("cow", "blue"),), attr("cow", "rough"))))
+        assert backend.rule_select_forward(RelevantFacts((1,)), kb, ()).rule_ids == (2,)
+        assert backend.rule_select_forward(RelevantFacts((1, 2)), kb, ()).rule_ids == (1, 2)
+
 
 class TestRuleSelectBackward:
     def test_two_candidates_for_chases_lion(self, cowbear_problem):
@@ -116,7 +124,7 @@ class TestLogicDeduce:
         kb = KnowledgeBase.from_literals(
             [rel("visits", "mouse", "tiger")],
             (Rule(1, (rel("visits", VAR, "tiger"),), attr("tiger", "blue")),))
-        step = backend.logic_deduce(RelevantFacts((1,)), RuleSelection((1,)), kb)
+        step = backend.logic_deduce(RuleSelection((1,)), kb)
         assert step.literals() == (attr("tiger", "blue"),)
         assert step.derived[0].premises == (1,)
 
@@ -124,14 +132,14 @@ class TestLogicDeduce:
         kb = KnowledgeBase.from_literals(
             [attr("tiger", "blue")],
             (Rule(1, (attr(VAR, "blue"),), rel("eats", VAR, "squirrel")),))
-        step = backend.logic_deduce(RelevantFacts((1,)), RuleSelection((1,)), kb)
+        step = backend.logic_deduce(RuleSelection((1,)), kb)
         assert step.literals() == (rel("eats", "tiger", "squirrel"),)
 
     def test_novelty_required(self):
         kb = KnowledgeBase.from_literals(
             [attr("cow", "blue"), attr("cow", "big")],
             (Rule(1, (attr("cow", "blue"),), attr("cow", "big")),))
-        step = backend.logic_deduce(RelevantFacts((1, 2)), RuleSelection((1,)), kb)
+        step = backend.logic_deduce(RuleSelection((1,)), kb)
         assert not step
 
     def test_deduplicates_by_literal(self):
@@ -139,14 +147,14 @@ class TestLogicDeduce:
             [attr("cow", "blue"), attr("cow", "cold")],
             (Rule(1, (attr("cow", "blue"),), attr("cow", "big")),
              Rule(2, (attr("cow", "cold"),), attr("cow", "big"))))
-        step = backend.logic_deduce(RelevantFacts((1, 2)), RuleSelection((1, 2)), kb)
+        step = backend.logic_deduce(RuleSelection((1, 2)), kb)
         assert step.literals() == (attr("cow", "big"),)
         assert step.derived[0].rule_id == 1  # lowest rule id wins
 
     def test_empty_selection_violates_precondition(self):
         kb = KnowledgeBase.from_literals([attr("cow", "blue")])
         with pytest.raises(ValueError):
-            backend.logic_deduce(RelevantFacts((1,)), RuleSelection(()), kb)
+            backend.logic_deduce(RuleSelection(()), kb)
 
 
 class TestLogicAbduce:
@@ -199,8 +207,7 @@ class TestLogicAbduce:
             (gs,) = backend.logic_abduce(ground_goal, RuleSelection((1,)), kb)
             checked = backend.fact_check((gs,), kb)
             assert checked.label is Label.PROVED
-            step = backend.logic_deduce(
-                RelevantFacts(tuple(f.id for f in kb.facts)), RuleSelection((1,)), kb)
+            step = backend.logic_deduce(RuleSelection((1,)), kb)
             assert ground_goal in step.literals()
 
 

@@ -47,7 +47,7 @@ class TestSaturate:
         assert len(saturate(kb)) == 1
 
     def test_fixpoint_is_stable(self, squirrel_problem, cowbear_problem):
-        from bichain.modules import RelevantFacts, RuleSelection, SymbolicBackend
+        from bichain.modules import RuleSelection, SymbolicBackend
         backend = SymbolicBackend()
         for problem in (squirrel_problem, cowbear_problem):
             closure = saturate(problem.kb)
@@ -55,9 +55,7 @@ class TestSaturate:
             for fact in closure.facts:
                 if not fact.given:
                     kb = kb.add_derived([(fact.literal, fact.rule_id, fact.premises)])
-            step = backend.logic_deduce(
-                RelevantFacts(tuple(f.id for f in kb.facts)),
-                RuleSelection(tuple(r.id for r in kb.rules)), kb)
+            step = backend.logic_deduce(RuleSelection(tuple(r.id for r in kb.rules)), kb)
             assert not step  # one more pass derives nothing new
 
     def test_depth_minimality_exhaustively(self):

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import bichain
-from bichain.engine import EngineConfig, prove_bidirectional, replay_validate
-from bichain.language import Label, parse_problem
+from bichain.engine import EngineConfig, prove_bidirectional, prove_forward, replay_validate
+from bichain.language import Hypothesis, Label, parse_problem
 from bichain.modules import Goal, GoalSet
 from bichain.remote import (
     Cassette,
@@ -317,6 +317,19 @@ class TestFullRuns:
             gs = GoalSet((Goal(attr("cow", "blue")), Goal(second)))
             res = backend.fact_check((gs,), kb)
             assert [g.fact_id for g in res.goalsets[0].goals] == [1, fact]
+
+    def test_proved_hypothesis_cites_its_own_fact(self):
+        problem = parse_problem("fact: The cow is blue.\nfact: The cow is big.\n"
+                                "hypothesis: The cow is big.\n")
+        answer = "Fact Check:\nThe hypothesis can be directly proved by Premise 1."
+        backend = RemoteBackend(offline_config(), transport=Cassette([answer] * 3))
+        verdict = prove_forward(problem, EngineConfig(), backend)
+        assert verdict.label is Label.PROVED
+        assert verdict.trace.resolution == {"kind": "fact", "fact": 2}
+        assert replay_validate(verdict.trace, problem)
+        # a hypothesis without a stored fact keeps the cited premise for replay to reject
+        res = backend.fact_check(Hypothesis(attr("cow", "red")), problem.kb)
+        assert (res.label, res.evidence) == (Label.PROVED, 1)
 
 
 class TestImports:

@@ -162,6 +162,33 @@ class TestKnowledgeBase:
         assert kb.constants() == ("tiger", "cow", "bear")
 
 
+class TestInstances:
+    def test_rule_order_then_constant_first_appearance(self):
+        kb = KnowledgeBase.from_literals(
+            [attr("tiger", "blue"), attr("cow", "blue"), attr("cow", "big")],
+            (Rule(2, (attr(VAR, "blue"),), attr(VAR, "red")),
+             Rule(1, (attr("cow", "big"),), attr("cow", "rough"))))
+        found = [(rule.id, str(conclusion), premises)
+                 for rule, conclusion, _, premises in kb.instances(reversed(kb.rules))]
+        assert found == [(1, "rough(cow)", (3,)),
+                         (2, "red(tiger)", (1,)), (2, "red(cow)", (2,))]
+        _, _, binding, _ = next(kb.instances(kb.rules))
+        assert binding == {VAR: Entity("tiger")}
+
+    def test_among_excludes_outside_premises_and_constants(self):
+        kb = KnowledgeBase.from_literals(
+            [rel("sees", "cow", "bear"), attr("tiger", "blue"), attr("cow", "blue")],
+            (Rule(1, (rel("sees", "cow", "bear"),), attr("bear", "big")),
+             Rule(2, (attr(VAR, "blue"),), attr(VAR, "red"))))
+
+        def conclusions(among):
+            return [str(c) for _, c, _, _ in kb.instances(kb.rules, among=among)]
+
+        assert conclusions(None) == ["big(bear)", "red(cow)", "red(tiger)"]
+        # without fact 1, rule 1 loses its premise and "cow" is tried after "tiger"
+        assert conclusions((2, 3)) == ["red(tiger)", "red(cow)"]
+
+
 class TestInvariants:
     def test_fact_requires_ground_literal(self):
         with pytest.raises(ValueError):
