@@ -44,7 +44,6 @@ from .modules import (
     GoalSet,
     GoalStatus,
     ModuleBackend,
-    RelevantFacts,
     RuleSelection,
     SymbolicBackend,
 )
@@ -52,7 +51,6 @@ from .oracle import ReferenceProof, oracle_label, premise_prf, saturate
 from .terms import (
     Atom,
     Entity,
-    Entailment,
     Fact,
     KnowledgeBase,
     Literal,

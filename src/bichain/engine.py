@@ -27,7 +27,6 @@ from .modules import (
     GoalSet,
     GoalStatus,
     ModuleBackend,
-    RelevantFacts,
     RuleSelection,
     SymbolicBackend,
     TransportError,
@@ -39,7 +38,6 @@ from .modules import (
 )
 from .terms import (
     Binding,
-    Entailment,
     Entity,
     Fact,
     KnowledgeBase,
@@ -187,8 +185,6 @@ class _Run:
         backend = backend or SymbolicBackend()
         if problem.hypothesis is None:
             raise ValueError("multi-option problems go through evaluate_options")
-        if problem.remote_only and not backend.handles_freeform:
-            raise ValueError("problem contains free-form statements; use the remote backend")
         backend.bind_problem(problem)
         self.problem = problem
         self.hypothesis = problem.hypothesis
@@ -380,10 +376,9 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
 
     relevant_ids: list[int] = []
     if run.kb.facts:
-        relevant = backend.fact_identify(hypothesis, run.kb)
+        relevant_ids = list(backend.fact_identify(hypothesis, run.kb))
         run.record(Direction.FORWARD, "fact_identify",
-                   {"hypothesis": term_string(q), "facts": list(relevant.fact_ids)})
-        relevant_ids = list(relevant.fact_ids)
+                   {"hypothesis": term_string(q), "facts": list(relevant_ids)})
 
     res = run.check(Direction.FORWARD, hypothesis)
     if res.label is not Label.UNKNOWN:
@@ -425,7 +420,7 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
                 lit = goal.literal
                 if lit in norule or lit in node.tried or variant_key(lit) in node.ancestors:
                     continue
-                if lit.is_ground and run.kb.entailed(lit) is Entailment.HOLDS:
+                if run.kb.holds(lit):
                     continue  # newly derived facts close it at the next check
                 candidates.append(lit)
             if candidates:
@@ -447,8 +442,7 @@ def _search_bidirectional(run: _Run, config: EngineConfig) -> tuple[Label, dict 
                         targets.append(g.literal)
             if not targets:
                 targets = [q]
-            selection = backend.rule_select_forward(
-                RelevantFacts(tuple(relevant_ids)), run.kb, tuple(targets))
+            selection = backend.rule_select_forward(tuple(relevant_ids), run.kb, tuple(targets))
             if selection.bridge is not None and len(selection.rule_ids) != 1:
                 raise AssertionError("a bridge must collapse the selection")
             run.record(direction, "rule_select_forward",
@@ -566,10 +560,10 @@ def prove_forward(problem: Problem, config: EngineConfig | None = None,
 
 def _search_forward(run: _Run, config: EngineConfig) -> tuple[Label, dict | None]:
     for _ in range(config.max_steps):
-        relevant = RelevantFacts(tuple(f.id for f in run.kb.facts))
+        relevant = tuple(f.id for f in run.kb.facts)
         selection = run.backend.rule_select_forward(relevant, run.kb, ())
         run.record(Direction.FORWARD, "rule_select_forward",
-                   {"relevant": list(relevant.fact_ids), "goal": None,
+                   {"relevant": list(relevant), "goal": None,
                     "rules": list(selection.rule_ids), "bridge": selection.bridge})
         applied = ()
         if selection.rule_ids:
@@ -746,8 +740,6 @@ class _RecordedBackend:
     Running out of steps raises TransportError, read as Unknown.
     """
 
-    handles_freeform = True
-
     def __init__(self, steps: list[TraceStep]):
         self.steps = iter(steps)
         self.step: TraceStep | None = None
@@ -776,10 +768,10 @@ class _RecordedBackend:
         except KeyError:
             raise ValueError(f"unknown rule {rule_id}") from None
 
-    def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> RelevantFacts:
-        return RelevantFacts(tuple(kb.fact(i).id for i in self._next("fact_identify")["facts"]))
+    def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> tuple[int, ...]:
+        return tuple(kb.fact(i).id for i in self._next("fact_identify")["facts"])
 
-    def rule_select_forward(self, relevant: RelevantFacts, kb: KnowledgeBase,
+    def rule_select_forward(self, relevant: tuple[int, ...], kb: KnowledgeBase,
                             goals: tuple[Literal, ...]) -> RuleSelection:
         p = self._next("rule_select_forward")
         return RuleSelection(tuple(self._rule(kb, i).id for i in p["rules"]), bridge=p["bridge"])
@@ -846,13 +838,13 @@ def _search_reference(run: _Run, config: EngineConfig) -> tuple[Label, dict | No
     """Replay-only loop for the oracle's reference proofs: deduce, while
     answers last, until the knowledge base decides; then check that literal."""
     q = run.hypothesis.consequent
-    while run.kb.entailed(q) is Entailment.UNDETERMINED:
+    while (fact := run.kb.decide(q)) is None:
         step = run.backend.logic_deduce(RuleSelection(()), run.kb)
         run.record(Direction.FORWARD, "logic_deduce",
                    _deduction_payload(tuple(d.rule_id for d in step.derived), step.derived))
         run.derive(step.derived)
-    decided = Label.PROVED if run.kb.entailed(q) is Entailment.HOLDS else Label.DISPROVED
-    res = run.check(Direction.FORWARD, Hypothesis(q if decided is Label.PROVED else q.negated()))
+    decided = Label.PROVED if fact.literal == q else Label.DISPROVED
+    res = run.check(Direction.FORWARD, Hypothesis(fact.literal))
     return (decided, _fact_resolution(res)) if res.label is Label.PROVED else (Label.UNKNOWN, None)
 
 

@@ -22,7 +22,6 @@ from typing import Protocol
 from .language import Hypothesis, Label, Problem
 from .terms import (
     Binding,
-    Entailment,
     Entity,
     KnowledgeBase,
     Literal,
@@ -31,13 +30,6 @@ from .terms import (
     substitute_partial,
     unify,
 )
-
-
-@dataclass(frozen=True)
-class RelevantFacts:
-    """Fact ids judged to matter for the hypothesis (the working subset)."""
-
-    fact_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -237,12 +229,11 @@ def abduce_goal_set(rule: Rule, goal: Literal) -> GoalSet | None:
 
 def check_hypothesis(consequent: Literal, kb: KnowledgeBase) -> FactCheckResult:
     """The knowledge base's own answer to a hypothesis fact check."""
-    verdict = kb.entailed(consequent)
-    if verdict is Entailment.HOLDS:
-        return FactCheckResult(Label.PROVED, evidence=kb.lookup(consequent).id)
-    if verdict is Entailment.NEGATION_HOLDS:
-        return FactCheckResult(Label.DISPROVED, evidence=kb.lookup(consequent.negated()).id)
-    return FactCheckResult(Label.UNKNOWN)
+    fact = kb.decide(consequent)
+    if fact is None:
+        return FactCheckResult(Label.UNKNOWN)
+    return FactCheckResult(Label.PROVED if fact.literal == consequent else Label.DISPROVED,
+                           evidence=fact.id)
 
 
 def select_by_goal(goals: tuple[Literal, ...], rules: Sequence[Rule]) -> RuleSelection:
@@ -265,16 +256,15 @@ class TransportError(Exception):
 class ModuleBackend(Protocol):
     """What an engine needs from a backend.
 
-    One module method call is one inference call.  ``handles_freeform`` says
-    whether the backend can read statements outside the grammar;
-    ``bind_problem`` is called once per evaluation before any module call;
-    ``drain_responses`` hands over raw response records for the trace step
-    just answered, and ``drain_warnings`` the warnings gathered so far.  A
-    method may raise ``TransportError``: the engine then ends the evaluation
-    as Unknown with a warning.
+    One module method call is one inference call.  ``bind_problem`` is
+    called once per evaluation before any module call and raises ValueError
+    for a problem the backend cannot read (the symbolic backend refuses
+    free-form statements); ``drain_responses`` hands over raw response
+    records for the trace step just answered, and ``drain_warnings`` the
+    warnings gathered so far.  Fact identification hands back fact ids, and
+    forward selection takes them.  A method may raise ``TransportError``: the
+    engine then ends the evaluation as Unknown with a warning.
     """
-
-    handles_freeform: bool
 
     def bind_problem(self, problem: Problem) -> None: ...
 
@@ -282,9 +272,9 @@ class ModuleBackend(Protocol):
 
     def drain_responses(self) -> list[dict]: ...
 
-    def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> RelevantFacts: ...
+    def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> tuple[int, ...]: ...
 
-    def rule_select_forward(self, relevant: RelevantFacts, kb: KnowledgeBase,
+    def rule_select_forward(self, relevant: tuple[int, ...], kb: KnowledgeBase,
                             goals: tuple[Literal, ...]) -> RuleSelection: ...
 
     def rule_select_backward(self, goals: tuple[Literal, ...],
@@ -308,11 +298,10 @@ class SymbolicBackend:
     by fact-insertion order) so every trace is reproducible.
     """
 
-    name = "symbolic"
-    handles_freeform = False
-
     def bind_problem(self, problem: Problem) -> None:
-        """Nothing to bind: every answer comes from the knowledge base."""
+        """Refuse free-form statements: every answer comes from the knowledge base."""
+        if problem.remote_only:
+            raise ValueError("problem contains free-form statements; use the remote backend")
 
     def drain_warnings(self) -> list[str]:
         return []
@@ -322,20 +311,18 @@ class SymbolicBackend:
 
     # -- fact identification ------------------------------------------------
 
-    def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> RelevantFacts:
+    def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> tuple[int, ...]:
         if not kb.facts:
             raise ValueError("fact identification needs a non-empty knowledge base")
         wanted: set[str] = set(hypothesis.consequent.constants())
         for lit in hypothesis.condition:
             wanted |= lit.constants()
         ids = tuple(f.id for f in kb.facts if f.literal.constants() & wanted)
-        if not ids:
-            ids = tuple(f.id for f in kb.facts)
-        return RelevantFacts(ids)
+        return ids or tuple(f.id for f in kb.facts)
 
     # -- rule selection -----------------------------------------------------
 
-    def rule_select_forward(self, relevant: RelevantFacts, kb: KnowledgeBase,
+    def rule_select_forward(self, relevant: tuple[int, ...], kb: KnowledgeBase,
                             goals: tuple[Literal, ...]) -> RuleSelection:
         """Applicable rules, or the single bridging rule when one exists.
 
@@ -345,7 +332,7 @@ class SymbolicBackend:
         rule id first.  Goal literals may be templates.
         """
         applicable: dict[int, None] = {}
-        for rule, consequent, _, _ in kb.instances(kb.rules, among=relevant.fact_ids):
+        for rule, consequent, _, _ in kb.instances(kb.rules, among=relevant):
             applicable[rule.id] = None
             if kb.lookup(consequent) is not None:
                 continue  # a bridge must still have something to derive
@@ -400,15 +387,13 @@ class SymbolicBackend:
         for i, g in enumerate(goals):
             lit = g.literal
             if lit.is_ground:
-                verdict = kb.entailed(lit)
-                if verdict is Entailment.HOLDS:
-                    goals[i] = replace(g, status=GoalStatus.PROVEN,
-                                       fact_id=kb.lookup(lit).id)
-                elif verdict is Entailment.NEGATION_HOLDS:
-                    goals[i] = replace(g, status=GoalStatus.CONTRADICTED,
-                                       fact_id=kb.lookup(lit.negated()).id)
-                else:
+                fact = kb.decide(lit)
+                if fact is None:
                     goals[i] = replace(g, status=GoalStatus.OPEN, fact_id=None)
+                elif fact.literal == lit:
+                    goals[i] = replace(g, status=GoalStatus.PROVEN, fact_id=fact.id)
+                else:
+                    goals[i] = replace(g, status=GoalStatus.CONTRADICTED, fact_id=fact.id)
             else:
                 for v in lit.variables():
                     scopes.setdefault(v, []).append(i)
@@ -421,8 +406,7 @@ class SymbolicBackend:
                 binding = unify(first, fact.literal)
                 if binding is None:
                     continue
-                if all(kb.entailed(substitute(goals[i].literal, binding)) is Entailment.HOLDS
-                       for i in indices):
+                if all(kb.holds(substitute(goals[i].literal, binding)) for i in indices):
                     chosen = binding
                     break
             for i in indices:

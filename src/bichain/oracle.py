@@ -102,9 +102,9 @@ def oracle_label(problem: Problem, hypothesis: Hypothesis | None = None,
                  ) -> tuple[Label, ReferenceProof | None]:
     """Gold label by saturation, with a canonical reference proof.
 
-    A hypothesis condition is asserted before saturating.  When both the
-    consequent and its negation are derivable (inconsistent base) the
-    negation wins, mirroring fact-level entailment.
+    A hypothesis condition is asserted before saturating.  The closure
+    settles the consequent by ``KnowledgeBase.decide``, so when both it and
+    its negation are derivable (inconsistent base) the negation wins.
     """
     hypothesis = hypothesis or problem.hypothesis
     if hypothesis is None:
@@ -113,14 +113,11 @@ def oracle_label(problem: Problem, hypothesis: Hypothesis | None = None,
     for lit in hypothesis.condition:
         kb = kb.add_given(lit)
     closure = saturate(kb)
-    q = hypothesis.consequent
-    negative = closure.lookup(q.negated())
-    positive = closure.lookup(q)
-    if negative is not None:
-        return Label.DISPROVED, ReferenceProof(closure, negative, len(kb.facts))
-    if positive is not None:
-        return Label.PROVED, ReferenceProof(closure, positive, len(kb.facts))
-    return Label.UNKNOWN, None
+    fact = closure.decide(hypothesis.consequent)
+    if fact is None:
+        return Label.UNKNOWN, None
+    label = Label.PROVED if fact.literal == hypothesis.consequent else Label.DISPROVED
+    return label, ReferenceProof(closure, fact, len(kb.facts))
 
 
 def trace_premises(trace: ProofTrace, given_count: int) -> frozenset[tuple[str, int]]:

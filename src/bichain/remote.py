@@ -35,7 +35,6 @@ from .modules import (
     FactCheckResult,
     GoalSet,
     GoalStatus,
-    RelevantFacts,
     RuleSelection,
     TransportError,
     abduce_goal_set,
@@ -254,6 +253,15 @@ def _semaphore(limit: int) -> threading.Semaphore:
         return _concurrency_locks[limit]
 
 
+def _agreeing_fact(kb: KnowledgeBase, literal: Literal, claim: Label) -> int | None:
+    """The id of the stored fact that settles the literal (``kb.decide``),
+    when it settles it the way a Proved or Disproved claim says."""
+    fact = kb.decide(literal)
+    if fact is None or (fact.literal == literal) != (claim is Label.PROVED):
+        return None
+    return fact.id
+
+
 class RemoteBackend:
     """ModuleBackend that answers every contract over the wire.
 
@@ -261,9 +269,6 @@ class RemoteBackend:
     recorded responses offline; the default posts a chat-completion request.
     One invocation is one wire request; transport retries do not add calls.
     """
-
-    name = "remote"
-    handles_freeform = True
 
     def __init__(self, config: RemoteConfig, transport=None):
         self.config = config
@@ -344,19 +349,18 @@ class RemoteBackend:
         index = PremiseIndex(kb, self._freeform)
         return index, number_premises(index)
 
-    def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> RelevantFacts:
+    def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> tuple[int, ...]:
         if not kb.facts:
             raise ValueError("fact identification needs a non-empty knowledge base")
         index, premises = self._premises(kb)
         response = self.invoke_module("fact_identify",
                                       render_hypothesis(hypothesis), premises)
-        if not response.ok:
-            return RelevantFacts(tuple(f.id for f in kb.facts))
-        ids = [index.fact_id(n) for n in response.payload]
-        kept = tuple(i for i in ids if i is not None)
-        return RelevantFacts(kept or tuple(f.id for f in kb.facts))
+        kept = ()
+        if response.ok:
+            kept = tuple(i for i in map(index.fact_id, response.payload) if i is not None)
+        return kept or tuple(f.id for f in kb.facts)
 
-    def rule_select_forward(self, relevant: RelevantFacts, kb: KnowledgeBase,
+    def rule_select_forward(self, relevant: tuple[int, ...], kb: KnowledgeBase,
                             goals: tuple[Literal, ...]) -> RuleSelection:
         index, premises = self._premises(kb)
         shown = render_literal(goals[0]) if goals else ""
@@ -400,6 +404,8 @@ class RemoteBackend:
         return None
 
     def logic_deduce(self, selection: RuleSelection, kb: KnowledgeBase) -> DeductionStep:
+        if not selection.rule_ids:
+            raise ValueError("deduction needs a non-empty rule selection")
         index, premises = self._premises(kb)
         context = "\n".join(
             f"{index.fact_count + rid}: {render_rule(kb.rule(rid))}"
@@ -421,15 +427,15 @@ class RemoteBackend:
                 if rebuilt is not None:
                     derived.append(rebuilt)
                     continue
-                # unsupported claim: keep it with the cited premises so the
-                # replay validator can flag the hallucination
-                cited_facts = tuple(f for f in (index.fact_id(n) for n in entry["cited"])
-                                    if f is not None)
-                rule_id = cited_rules[0] if cited_rules else (
-                    selection.rule_ids[0] if selection.rule_ids else 0)
-                derived.append(Derivation(literal, rule_id, cited_facts or (0,)))
+                # unsupported claim: kept with the facts it cites for replay to
+                # flag; one citing none is dropped (its text stays in the step)
                 self.warnings.append(f"logic_deduce: unsupported deduction "
                                      f"{render_literal(literal)!r}")
+                cited_facts = tuple(f for f in (index.fact_id(n) for n in entry["cited"])
+                                    if f is not None)
+                if cited_facts:
+                    rule_id = cited_rules[0] if cited_rules else selection.rule_ids[0]
+                    derived.append(Derivation(literal, rule_id, cited_facts))
             if entry["opaque"]:
                 self.warnings.append(
                     f"logic_deduce: opaque response text kept out of the fact "
@@ -474,11 +480,7 @@ class RemoteBackend:
             label, premise_number = response.payload
             evidence = index.fact_id(premise_number) if premise_number else None
             if label is not Label.UNKNOWN:
-                # the stored hypothesis (or negation) is the evidence; without
-                # one the cited premise stays, which replay then rejects
-                own = kb.lookup(target.consequent if label is Label.PROVED
-                                else target.consequent.negated())
-                evidence = own.id if own is not None else evidence
+                evidence = _agreeing_fact(kb, target.consequent, label) or evidence
             return FactCheckResult(label, evidence=evidence)
         goalsets: tuple[GoalSet, ...] = tuple(target)
         pending = next((i for i, gs in enumerate(goalsets)
@@ -493,33 +495,22 @@ class RemoteBackend:
             "fact_check", shown if shown else render_literal(goalsets[pending].goals[0].literal),
             premises)
         updated = list(goalsets)
-        if response.ok:
-            label, premise_number = response.payload
-            if label is Label.PROVED:
-                evidence = index.fact_id(premise_number) if premise_number else None
-                gs = goalsets[pending]
-                goals = []
-                for g in gs.goals:
-                    if g.status is GoalStatus.OPEN:
-                        # a goal's own stored fact is its evidence; one with none
-                        # keeps the cited premise, which replay then rejects
-                        own = kb.lookup(g.literal) if g.literal.is_ground else None
-                        g = replace(g, status=GoalStatus.PROVEN,
-                                    fact_id=own.id if own is not None else evidence)
-                    goals.append(g)
-                updated[pending] = replace(gs, goals=tuple(goals))
-            elif label is Label.DISPROVED:
-                gs = goalsets[pending]
-                goals = []
-                for g in gs.goals:
-                    if g.status is GoalStatus.OPEN and g.literal.is_ground:
-                        negated = kb.lookup(g.literal.negated())
-                        if negated is not None:
-                            goals.append(replace(g, status=GoalStatus.CONTRADICTED,
-                                                 fact_id=negated.id))
-                            continue
-                    goals.append(g)
-                updated[pending] = replace(gs, goals=tuple(goals))
+        label, premise_number = response.payload if response.ok else (Label.UNKNOWN, None)
+        if label is not Label.UNKNOWN:
+            cited = index.fact_id(premise_number) if premise_number else None
+            goals = []
+            for g in goalsets[pending].goals:
+                if g.status is GoalStatus.OPEN:
+                    # a Proved claim covers every open goal (one the store does
+                    # not prove keeps the cited premise, which replay rejects);
+                    # a Disproved one marks only the goals the store disproves
+                    evidence = _agreeing_fact(kb, g.literal, label)
+                    if label is Label.PROVED:
+                        g = replace(g, status=GoalStatus.PROVEN, fact_id=evidence or cited)
+                    elif evidence is not None:
+                        g = replace(g, status=GoalStatus.CONTRADICTED, fact_id=evidence)
+                goals.append(g)
+            updated[pending] = replace(goalsets[pending], goals=tuple(goals))
         satisfied = next((i for i, gs in enumerate(updated) if gs.satisfied), None)
         label = Label.PROVED if satisfied is not None else Label.UNKNOWN
         return FactCheckResult(label, goalsets=tuple(updated), satisfied=satisfied)

@@ -6,12 +6,12 @@ or a binary relation between two; a literal is a signed atom.  Rules carry at
 most one distinct variable, so unification never needs an occurs check or
 binding chains.  The knowledge base owns the one join of rules against its
 facts (``KnowledgeBase.instances``), shared by saturation, the symbolic
-modules and remote reconstruction.
+modules and remote reconstruction, and the one rule that settles a literal
+(``KnowledgeBase.decide``), shared by fact checks, engines and the oracle.
 """
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -249,12 +249,6 @@ def literal_from_term(text: str) -> Literal:
     raise ValueError(f"bad term: {text!r}")
 
 
-class Entailment(enum.Enum):
-    HOLDS = "Holds"
-    NEGATION_HOLDS = "NegationHolds"
-    UNDETERMINED = "Undetermined"
-
-
 @dataclass(frozen=True, slots=True)
 class Fact:
     """A ground literal with provenance.
@@ -314,7 +308,8 @@ class KnowledgeBase:
     Fact ids are 1-based insertion positions (the numbering used when
     premises are rendered for prompts and reports).  ``add_derived`` returns
     a new store; instances can be shared freely across evaluations.
-    ``instances`` is the one join of rules against stored facts.
+    ``instances`` is the one join of rules against stored facts, ``decide``
+    the one rule that settles a literal.
     """
 
     __slots__ = ("facts", "rules", "_by_literal", "_rule_by_id", "consistent")
@@ -390,19 +385,15 @@ class KnowledgeBase:
                     yield (rule, substitute_partial(rule.consequent, binding), binding,
                            tuple(premises))
 
-    def entailed(self, goal: Literal) -> Entailment:
-        """Three-way fact-level entailment of a ground goal.
+    def decide(self, goal: Literal) -> Fact | None:
+        """The stored fact that settles a goal: its negation's when there is
+        one (a stored negation wins), else its own, else None."""
+        fact_id = self._by_literal.get(goal.negated()) or self._by_literal.get(goal)
+        return None if fact_id is None else self.facts[fact_id - 1]
 
-        When both a literal and its negation are present (the store is then
-        flagged inconsistent) NegationHolds takes precedence.
-        """
-        if not goal.is_ground:
-            raise ValueError("entailment goal must be ground")
-        if goal.negated() in self._by_literal:
-            return Entailment.NEGATION_HOLDS
-        if goal in self._by_literal:
-            return Entailment.HOLDS
-        return Entailment.UNDETERMINED
+    def holds(self, goal: Literal) -> bool:
+        """Does the goal's own fact settle it?"""
+        return goal in self._by_literal and goal.negated() not in self._by_literal
 
     def add_given(self, literal: Literal) -> "KnowledgeBase":
         """Insert one given fact; a duplicate literal leaves the store unchanged."""
@@ -412,10 +403,13 @@ class KnowledgeBase:
         return KnowledgeBase(facts, self.rules)
 
     def add_derived(self, entries: list[tuple[Literal, int, tuple[int, ...]]]) -> "KnowledgeBase":
-        """Insert derived facts (literal, rule_id, premise ids), skipping duplicates."""
+        """Insert derived facts (literal, rule_id, premise ids), skipping duplicates;
+        each premise id must name a stored fact or an earlier entry of the batch."""
         facts = list(self.facts)
         seen = set(self._by_literal)
         for literal, rule_id, premises in entries:
+            if min(premises, default=0) < 1 or max(premises) > len(facts):
+                raise ValueError(f"premises {list(premises)} of {literal} outside 1..{len(facts)}")
             if literal in seen:
                 continue
             seen.add(literal)

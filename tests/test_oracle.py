@@ -8,6 +8,7 @@ import pytest
 from bichain.engine import Direction, ProofTrace, TraceStep, prove_bidirectional, replay_validate
 from bichain.generate import InstanceSpec, PROFILES, generate_instance
 from bichain.language import Hypothesis, Label, parse_problem
+from bichain.modules import Goal, GoalSet, GoalStatus, SymbolicBackend, check_hypothesis
 from bichain.oracle import oracle_label, premise_prf, saturate, trace_premises
 from bichain.terms import (
     VAR,
@@ -121,6 +122,24 @@ class TestOracleLabel:
         label, reference = oracle_label(problem)
         assert label is Label.DISPROVED
         assert reference.target.literal == rel("chases", "cow", "bear", False)
+
+    def test_negation_wins_on_an_inconsistent_closure(self):
+        problem = parse_problem(
+            "fact: The cow is blue.\n"
+            "fact: The cow is cold.\n"
+            "rule: If the cow is cold then the cow is not blue.\n"
+            "hypothesis: The cow is blue.\n")
+        label, reference = oracle_label(problem)
+        assert label is Label.DISPROVED
+        assert reference.target == reference.closure.lookup(attr("cow", "blue", False))
+        # the symbolic fact checks settle it by the same fact
+        refuted = reference.target.id
+        check = check_hypothesis(attr("cow", "blue"), reference.closure)
+        assert (check.label, check.evidence) == (Label.DISPROVED, refuted)
+        res = SymbolicBackend().fact_check((GoalSet((Goal(attr("cow", "blue")),)),),
+                                           reference.closure)
+        goal = res.goalsets[0].goals[0]
+        assert (goal.status, goal.fact_id) == (GoalStatus.CONTRADICTED, refuted)
 
     def test_condition_asserted_before_saturation(self):
         problem = parse_problem(

@@ -11,9 +11,15 @@ from pathlib import Path
 import pytest
 
 import bichain
-from bichain.engine import EngineConfig, prove_bidirectional, prove_forward, replay_validate
+from bichain.engine import (
+    EngineConfig,
+    prove_backward,
+    prove_bidirectional,
+    prove_forward,
+    replay_validate,
+)
 from bichain.language import Hypothesis, Label, parse_problem
-from bichain.modules import Goal, GoalSet
+from bichain.modules import Goal, GoalSet, GoalStatus, RuleSelection
 from bichain.remote import (
     Cassette,
     ModuleResponse,
@@ -48,6 +54,25 @@ SCRIPT = [
     "Rule Selection:\nPremise 4, If someone chases the lion then they are rough.",
     "Inferences:\nSince the cow chases the lion, we can deduce that the cow is rough (Premise 4).",
     "Fact Check:\nThe hypothesis can be directly proved by Premise 4.",
+]
+
+_UNKNOWN = "Fact Check:\nThe truth of the hypothesis is unknown."
+_SELECT_ROUGH = "Rule Selection:\nPremise 4, If someone chases the lion then they are rough."
+_SELECT_CHASES = ("Rule Selection:\nPremise 3, If the cow is blue and the cow sees the bear "
+                  "then the cow chases the lion.")
+_ABDUCE_ROUGH = ("Plausible Reasons:\nAccording to Premise 4, if we want to prove the cow is "
+                 "rough, we need to prove the cow chases the lion.")
+
+# the same model's answers mirroring the symbolic backward trace over DEMO,
+# except that it picks a rule for ~rough(cow) that does not conclude it
+BACKWARD_SCRIPT = [
+    _UNKNOWN, _SELECT_ROUGH, _ABDUCE_ROUGH, _UNKNOWN,
+    _UNKNOWN, "Rule Selection:\nPremise 3",
+    _UNKNOWN, _SELECT_ROUGH, _ABDUCE_ROUGH, _UNKNOWN, _SELECT_CHASES,
+    "Plausible Reasons:\nAccording to Premise 3, we need to prove the cow is blue. "
+    "We also need to prove the cow sees the bear.",
+    "Fact Check:\nThe hypothesis can be directly proved by Premise 1.",
+    "Fact Check:\nThe hypothesis can be directly proved by Premise 2.",
 ]
 
 
@@ -294,6 +319,53 @@ class TestFullRuns:
         verdict = prove_bidirectional(DEMO, EngineConfig(max_steps=4), backend)
         assert any("unsupported deduction" in w for w in verdict.warnings)
         assert not replay_validate(verdict.trace, DEMO)
+
+    def test_deduction_citing_no_fact_is_dropped(self):
+        script = list(SCRIPT)
+        script[3] += "\nAdditionally, the bear is cold."  # its own line: it cites nothing
+        backend = RemoteBackend(offline_config(), transport=Cassette(script))
+        verdict = prove_bidirectional(DEMO, EngineConfig(), backend)
+        assert any("unsupported deduction" in w for w in verdict.warnings)
+        assert verdict.label is Label.PROVED
+        assert verdict.calls == backend.calls == 9
+        assert verdict.trace.steps[3].payload["responses"][0]["raw"] == script[3]
+        assert bool(replay_validate(verdict.trace, DEMO))
+
+    def test_deduction_needs_a_selection(self):
+        backend = RemoteBackend(offline_config(), transport=Cassette(list(SCRIPT)))
+        with pytest.raises(ValueError):
+            backend.logic_deduce(RuleSelection(()), DEMO.kb)
+        assert backend.calls == 0
+
+    def test_scripted_backward_run(self):
+        backend = RemoteBackend(offline_config(), transport=Cassette(list(BACKWARD_SCRIPT)))
+        verdict = prove_backward(DEMO, EngineConfig(), backend)
+        assert verdict.label is Label.PROVED
+        assert verdict.calls == len(verdict.trace.steps) == backend.calls == 14
+        assert any("rules [1] match no open goal" in w for w in verdict.warnings)
+        assert [s.module for s in verdict.trace.steps] == \
+            [s.module for s in prove_backward(DEMO).trace.steps]
+        assert bool(replay_validate(verdict.trace, DEMO))
+
+    def test_disproved_goal_set_cites_the_negation(self):
+        kb = KnowledgeBase.from_literals([attr("cow", "big"), attr("cow", "blue", False)])
+        answer = "Fact Check:\nThe hypothesis can be directly disproved by Premise 2."
+        backend = RemoteBackend(offline_config(), transport=Cassette([answer]))
+        gs = GoalSet((Goal(attr("cow", "red")), Goal(attr("cow", "blue"))))
+        res = backend.fact_check((gs,), kb)
+        assert [(g.status, g.fact_id) for g in res.goalsets[0].goals] == \
+            [(GoalStatus.OPEN, None), (GoalStatus.CONTRADICTED, 2)]
+        assert res.goalsets[0].failed and res.label is Label.UNKNOWN
+
+    def test_goal_set_confusion_check_lists_each_set(self):
+        prompts = []
+        backend = RemoteBackend(offline_config(), transport=lambda prompt: (
+            prompts.append(prompt) or "Confusion Check:\nTrue"))
+        sets = (GoalSet((Goal(attr("cow", "red")), Goal(attr("cow", "big"))), origin_rule=1),
+                GoalSet((Goal(attr("cow", "cold")),), origin_rule=2))
+        assert backend.confusion_check(sets) is True
+        assert ("According to Rule 1, we need to prove The cow is red. and The cow is big.\n"
+                "According to Rule 2, we need to prove The cow is cold.\n") in prompts[0]
 
     def test_freeform_problem_needs_remote(self):
         freeform = parse_problem(

@@ -9,7 +9,6 @@ from bichain.terms import (
     VAR,
     Atom,
     Entity,
-    Entailment,
     Fact,
     KnowledgeBase,
     Literal,
@@ -109,19 +108,24 @@ class TestContradicts:
 class TestKnowledgeBase:
     def test_entailment_three_way(self):
         kb = KnowledgeBase.from_literals([attr("cow", "blue")])
-        assert kb.entailed(attr("cow", "blue")) is Entailment.HOLDS
-        assert kb.entailed(attr("cow", "blue", False)) is Entailment.NEGATION_HOLDS
-        assert kb.entailed(attr("cow", "red")) is Entailment.UNDETERMINED
+        assert kb.decide(attr("cow", "blue")) == kb.fact(1)
+        assert kb.holds(attr("cow", "blue"))
+        assert kb.decide(attr("cow", "blue", False)) == kb.fact(1)
+        assert not kb.holds(attr("cow", "blue", False))
+        assert kb.decide(attr("cow", "red")) is None
+        assert not kb.holds(attr("cow", "red"))
 
     def test_empty_store_is_undetermined(self):
         kb = KnowledgeBase.from_literals([])
-        assert kb.entailed(attr("cow", "blue")) is Entailment.UNDETERMINED
+        assert kb.decide(attr("cow", "blue")) is None
+        assert not kb.holds(attr("cow", "blue"))
 
     def test_negation_holds_precedence_on_inconsistent_store(self):
         kb = KnowledgeBase.from_literals([attr("cow", "blue")])
         kb = kb.add_given(attr("cow", "blue", False))
         assert not kb.consistent
-        assert kb.entailed(attr("cow", "blue")) is Entailment.NEGATION_HOLDS
+        assert kb.decide(attr("cow", "blue")) == kb.fact(2)
+        assert not kb.holds(attr("cow", "blue"))
 
     def test_add_duplicate_literal_keeps_count_and_provenance(self):
         kb = KnowledgeBase.from_literals([attr("cow", "blue")])
@@ -148,6 +152,17 @@ class TestKnowledgeBase:
         for fact in kb.facts:
             if not fact.given:
                 assert all(kb.fact(p).depth < fact.depth for p in fact.premises)
+
+    @pytest.mark.parametrize("premise", [0, 3])
+    def test_derived_premise_must_name_a_stored_fact(self, premise):
+        kb = KnowledgeBase.from_literals([attr("cow", "blue"), attr("cow", "big")])
+        with pytest.raises(ValueError):
+            kb.add_derived([(attr("cow", "rough"), 1, (1, premise))])  # 0 is not the last fact
+
+    def test_derived_premise_may_cite_its_own_batch(self):
+        kb = KnowledgeBase.from_literals([attr("cow", "blue")])
+        kb = kb.add_derived([(attr("cow", "rough"), 1, (1,)), (attr("cow", "red"), 2, (2,))])
+        assert kb.fact(3).premises == (2,) and kb.fact(3).depth == 2
 
     @pytest.mark.parametrize("fact_id", [0, -1, 3])
     def test_fact_id_out_of_range_raises(self, fact_id):
