@@ -340,13 +340,18 @@ def _capitalize(text: str) -> str:
     return text[0].upper() + text[1:]
 
 
-def render_literal(lit: Literal) -> str:
-    """Canonical standalone sentence for a ground or template literal."""
+def render_clause(lit: Literal) -> str:
+    """A ground or template literal as a lower-case clause with no full stop,
+    for joining into a sentence."""
     # A lone object-position variable renders as "them"; parse_literal
     # reads isolated clauses with the same convention.
     mentioned = bool(lit.variables()) and not lit.atom.subject.variable
-    text, _ = _render_clause(lit, var_mentioned=mentioned)
-    return _capitalize(text) + "."
+    return _render_clause(lit, var_mentioned=mentioned)[0]
+
+
+def render_literal(lit: Literal) -> str:
+    """Canonical standalone sentence for a ground or template literal."""
+    return _capitalize(render_clause(lit)) + "."
 
 
 def render_rule(rule: Rule) -> str:
@@ -362,9 +367,8 @@ def render_rule(rule: Rule) -> str:
 def render_hypothesis(h: Hypothesis) -> str:
     if not h.condition:
         return render_literal(h.consequent)
-    parts = [_render_clause(c, False)[0] for c in h.condition]
-    consequent = _render_clause(h.consequent, False)[0]
-    return f"If {' and '.join(parts)} then {consequent}."
+    parts = [render_clause(c) for c in h.condition]
+    return f"If {' and '.join(parts)} then {render_clause(h.consequent)}."
 
 
 # --------------------------------------------------------------------------

@@ -26,12 +26,21 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
     every rule, stored with ``add_derived``.  Applying any rule to the result
     yields nothing new.
 
+    After the first layer the join is semi-naive: it is given the previous
+    store length as ``since``, so it yields only the instances that cite a
+    fact the last layer added.  This is exact, and closure ids do not move:
+    every depth-k derivation of a literal not yet stored cites a depth-(k-1)
+    fact, so each new conclusion's first occurrence in the full join, and its
+    canonical (rule id, premises) minimum, are both in the delta join, in the
+    same relative order.
+
     Terminates because the ground literal space is finite (constants times
     adjectives plus constant pairs times verbs, both signs).
     """
+    since = 0
     while True:
         found: dict[Literal, tuple[int, tuple[int, ...]]] = {}
-        for rule, conclusion, _, premises in kb.instances(kb.rules):
+        for rule, conclusion, _, premises in kb.instances(kb.rules, since=since):
             if kb.lookup(conclusion) is not None:
                 continue
             best = found.get(conclusion)
@@ -39,6 +48,7 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
                 found[conclusion] = (rule.id, premises)
         if not found:
             return kb
+        since = len(kb)
         kb = kb.add_derived([(literal, rule_id, premises)
                              for literal, (rule_id, premises) in found.items()])
 

@@ -25,6 +25,7 @@ from .language import (
     ParseError,
     Problem,
     parse_literal,
+    render_clause,
     render_hypothesis,
     render_literal,
     render_rule,
@@ -521,9 +522,9 @@ class RemoteBackend:
         else:
             lines = []
             for gs in step:
-                goals = " and ".join(render_literal(g.literal) for g in gs.goals)
+                goals = " and ".join(render_clause(g.literal) for g in gs.goals)
                 lines.append(f"According to Rule {gs.origin_rule}, "
-                             f"we need to prove {goals}")
+                             f"we need to prove {goals}.")
         response = self.invoke_module("confusion_check", context="\n".join(lines))
         if not response.ok:
             return False

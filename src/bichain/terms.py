@@ -8,6 +8,14 @@ binding chains.  The knowledge base owns the one join of rules against its
 facts (``KnowledgeBase.instances``), shared by saturation, the symbolic
 modules and remote reconstruction, and the one rule that settles a literal
 (``KnowledgeBase.decide``), shared by fact checks, engines and the oracle.
+
+The join is driven by facts: each joined fact newer than ``since`` is
+matched against the given rules' conditions, indexed by predicate, sign and
+arity, and only the bindings those matches name are looked up in full.
+``since=0`` is the whole join; saturation passes the previous store length,
+so each layer joins only the facts the last layer added (semi-naive
+evaluation).  Stores are append-only: a child store copies its parent's
+literal index and extends it with the appended facts.
 """
 
 from __future__ import annotations
@@ -91,7 +99,8 @@ class Literal:
 
     @property
     def is_ground(self) -> bool:
-        return not self.atom.variables()
+        a = self.atom
+        return not a.subject.variable and (a.obj is None or not a.obj.variable)
 
     def negated(self) -> "Literal":
         return Literal(self.atom, not self.positive)
@@ -296,9 +305,10 @@ class Rule:
             raise ValueError("a variable in the consequent must appear in a condition")
 
     def variable(self) -> Entity | None:
-        for lit in (*self.conditions, self.consequent):
-            for v in lit.variables():
-                return v
+        for lit in self.conditions:  # a consequent's variable is also a condition's
+            for e in lit.atom.entities():
+                if e.variable:
+                    return e
         return None
 
 
@@ -306,10 +316,12 @@ class KnowledgeBase:
     """Immutable fact/rule store, deduplicated and indexed by literal.
 
     Fact ids are 1-based insertion positions (the numbering used when
-    premises are rendered for prompts and reports).  ``add_derived`` returns
-    a new store; instances can be shared freely across evaluations.
-    ``instances`` is the one join of rules against stored facts, ``decide``
-    the one rule that settles a literal.
+    premises are rendered for prompts and reports).  ``add_given`` and
+    ``add_derived`` return a new store built on a copy of this one's literal
+    index, so stores can be shared freely across evaluations and two
+    children of one store never see each other's facts.  ``instances`` is
+    the one join of rules against stored facts, ``decide`` the one rule that
+    settles a literal.
     """
 
     __slots__ = ("facts", "rules", "_by_literal", "_rule_by_id", "consistent")
@@ -328,6 +340,18 @@ class KnowledgeBase:
                 self.consistent = False
                 break
         self._rule_by_id = {r.id: r for r in rules}
+
+    def _extend(self, facts: list[Fact], by_literal: dict[Literal, int]) -> "KnowledgeBase":
+        """The child store holding ``facts`` (this store's, then new ones) and
+        their index; only the new facts are checked for consistency."""
+        child = object.__new__(KnowledgeBase)
+        child.facts = tuple(facts)
+        child.rules = self.rules
+        child._by_literal = by_literal
+        child._rule_by_id = self._rule_by_id
+        child.consistent = self.consistent and not any(
+            f.literal.negated() in by_literal for f in facts[len(self.facts):])
+        return child
 
     @classmethod
     def from_literals(cls, literals: list[Literal] | tuple[Literal, ...],
@@ -359,29 +383,69 @@ class KnowledgeBase:
         return None if fact_id is None else self.facts[fact_id - 1]
 
     def instances(self, rules: Iterable[Rule], among: Iterable[int] | None = None,
+                  since: int = 0,
                   ) -> Iterator[tuple[Rule, Literal, Binding, tuple[int, ...]]]:
         """The join: every instance of each rule whose conditions are all
-        stored facts, as (rule, conclusion, binding, premise ids).
+        stored facts and which cites a fact with id above ``since``, as
+        (rule, conclusion, binding, premise ids).
 
-        Rules go in the order given; a rule's variable tries the constants by
-        first appearance over the joined facts, which are the whole store or,
-        with ``among``, only the facts with those ids.
+        The joined facts are the whole store or, with ``among``, only the
+        facts with those ids.  Rules go in the order given; a rule's variable
+        tries the constants by first appearance over the joined facts.  The
+        output is the full join (``since=0``) filtered to the instances with
+        ``max(premises) > since``, in the same order.  Only the bindings that
+        put a condition on a joined fact newer than ``since`` are tried: every
+        constant when a ground condition matched one, none for a rule that
+        matched none.
         """
         known = self._by_literal
         if among is not None:
             ids = set(among)
             known = {lit: i for lit, i in known.items() if i in ids}
-        candidates = [Entity(c) for c in constants_in_order(known)]
-        for rule in rules:
+        rules = list(rules)
+        by_shape: dict[tuple[str, bool, bool], list[tuple[int, Literal]]] = {}
+        for position, rule in enumerate(rules):
+            for cond in rule.conditions:
+                a = cond.atom
+                by_shape.setdefault((a.predicate, cond.positive, a.obj is None),
+                                    []).append((position, cond))
+        # rule position -> constants worth trying; None means every constant
+        tries: dict[int, set[Entity] | None] = {}
+        new = (f.literal for f in self.facts[since:]) if among is None else (
+            lit for lit, i in known.items() if i > since)
+        for lit in new:
+            a = lit.atom
+            for position, cond in by_shape.get((a.predicate, lit.positive, a.obj is None), ()):
+                binding = unify(cond, lit)
+                if binding is None:
+                    continue
+                if not binding:
+                    tries[position] = None
+                elif tries.setdefault(position, set()) is not None:
+                    tries[position].update(binding.values())
+        if not tries:
+            return
+        order: dict[Entity, None] = {}
+        for lit in known:
+            for e in lit.atom.entities():
+                order[e] = None
+        for position, rule in enumerate(rules):
+            if position not in tries:
+                continue
             var = rule.variable()
-            for binding in [{}] if var is None else ({var: c} for c in candidates):
+            if var is None:
+                bindings: Iterable[Binding] = [{}]
+            else:
+                wanted = tries[position]
+                bindings = ({var: c} for c in order if wanted is None or c in wanted)
+            for binding in bindings:
                 premises = []
                 for cond in rule.conditions:
                     fact_id = known.get(substitute_partial(cond, binding))
                     if fact_id is None:
                         break
                     premises.append(fact_id)
-                else:
+                else:  # every binding tried puts a condition on a fact newer than since
                     yield (rule, substitute_partial(rule.consequent, binding), binding,
                            tuple(premises))
 
@@ -399,26 +463,26 @@ class KnowledgeBase:
         """Insert one given fact; a duplicate literal leaves the store unchanged."""
         if literal in self._by_literal:
             return self
-        facts = self.facts + (Fact(id=len(self.facts) + 1, literal=literal),)
-        return KnowledgeBase(facts, self.rules)
+        facts = [*self.facts, Fact(id=len(self.facts) + 1, literal=literal)]
+        return self._extend(facts, {**self._by_literal, literal: len(facts)})
 
     def add_derived(self, entries: list[tuple[Literal, int, tuple[int, ...]]]) -> "KnowledgeBase":
         """Insert derived facts (literal, rule_id, premise ids), skipping duplicates;
         each premise id must name a stored fact or an earlier entry of the batch."""
         facts = list(self.facts)
-        seen = set(self._by_literal)
+        by_literal = dict(self._by_literal)
         for literal, rule_id, premises in entries:
             if min(premises, default=0) < 1 or max(premises) > len(facts):
                 raise ValueError(f"premises {list(premises)} of {literal} outside 1..{len(facts)}")
-            if literal in seen:
+            if literal in by_literal:
                 continue
-            seen.add(literal)
             depth = 1 + max(facts[p - 1].depth for p in premises)
             facts.append(Fact(id=len(facts) + 1, literal=literal,
                               rule_id=rule_id, premises=premises, depth=depth))
+            by_literal[literal] = len(facts)
         if len(facts) == len(self.facts):
             return self
-        return KnowledgeBase(tuple(facts), self.rules)
+        return self._extend(facts, by_literal)
 
     def constants(self) -> tuple[str, ...]:
         """Constant names in first-appearance order over facts, then rules."""

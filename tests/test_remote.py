@@ -364,8 +364,8 @@ class TestFullRuns:
         sets = (GoalSet((Goal(attr("cow", "red")), Goal(attr("cow", "big"))), origin_rule=1),
                 GoalSet((Goal(attr("cow", "cold")),), origin_rule=2))
         assert backend.confusion_check(sets) is True
-        assert ("According to Rule 1, we need to prove The cow is red. and The cow is big.\n"
-                "According to Rule 2, we need to prove The cow is cold.\n") in prompts[0]
+        assert ("According to Rule 1, we need to prove the cow is red and the cow is big.\n"
+                "According to Rule 2, we need to prove the cow is cold.\n") in prompts[0]
 
     def test_freeform_problem_needs_remote(self):
         freeform = parse_problem(

@@ -1,9 +1,12 @@
-"""Unification, substitution, contradiction, and knowledge-base bookkeeping."""
+"""Unification, substitution, contradiction, knowledge-base bookkeeping and the join."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bichain.generate import ADJECTIVES, NOUNS, VERBS, InstanceSpec, _draw_facts, _draw_rule, _Vocab
+from bichain.language import Label
 from bichain.oracle import saturate
 from bichain.terms import (
     VAR,
@@ -171,6 +174,45 @@ class TestKnowledgeBase:
             with pytest.raises(IndexError):
                 store.fact(fact_id)  # ids are 1-based; 0 is not the last fact
 
+    def test_children_of_one_store_do_not_see_each_other(self):
+        kb = KnowledgeBase.from_literals(
+            [attr("cow", "blue")], (Rule(1, (attr(VAR, "blue"),), attr(VAR, "red")),))
+        left = kb.add_given(attr("bear", "blue"))
+        right = kb.add_derived([(attr("cow", "red"), 1, (1,))])
+        assert left.lookup(attr("cow", "red")) is None
+        assert right.lookup(attr("bear", "blue")) is None
+        assert kb.lookup(attr("bear", "blue")) is None and kb.lookup(attr("cow", "red")) is None
+        assert left.fact(2).literal == attr("bear", "blue")
+        assert right.fact(2).literal == attr("cow", "red")
+        assert [str(c) for _, c, _, _ in left.instances(left.rules)] == ["red(cow)", "red(bear)"]
+        assert [str(c) for _, c, _, _ in right.instances(right.rules)] == ["red(cow)"]
+
+    def test_batch_adding_a_stored_facts_negation_is_inconsistent(self):
+        kb = KnowledgeBase.from_literals([attr("cow", "blue"), attr("cow", "big")])
+        kb = kb.add_derived([(attr("cow", "red"), 1, (1,))])
+        assert kb.consistent
+        worse = kb.add_derived([(attr("cow", "rough"), 2, (3,)), (attr("cow", "big", False), 3, (1,))])
+        assert not worse.consistent
+        assert kb.consistent  # the parent keeps its flag
+        assert not worse.add_derived([(attr("cow", "cold"), 4, (1,))]).consistent
+
+    def test_batch_adding_both_signs_is_inconsistent(self):
+        kb = KnowledgeBase.from_literals([attr("cow", "blue")])
+        both = kb.add_derived([(attr("cow", "red"), 1, (1,)), (attr("cow", "red", False), 2, (1,))])
+        assert len(both) == 3 and not both.consistent
+
+    def test_derived_duplicates_are_skipped(self):
+        kb = KnowledgeBase.from_literals([attr("cow", "blue")])
+        assert kb.add_derived([(attr("cow", "blue"), 1, (1,))]) is kb
+        kb = kb.add_derived([(attr("cow", "red"), 1, (1,)), (attr("cow", "red"), 2, (1,))])
+        assert len(kb) == 2 and kb.fact(2).rule_id == 1
+
+    def test_premise_on_a_skipped_batch_entry_is_rejected(self):
+        kb = KnowledgeBase.from_literals([attr("cow", "blue")])
+        # the duplicate takes no id, so premise 2 names nothing
+        with pytest.raises(ValueError):
+            kb.add_derived([(attr("cow", "blue"), 1, (1,)), (attr("cow", "red"), 2, (2,))])
+
     def test_constants_in_first_appearance_order(self):
         kb = KnowledgeBase.from_literals(
             [rel("sees", "tiger", "cow"), attr("bear", "blue")])
@@ -202,6 +244,106 @@ class TestInstances:
         assert conclusions(None) == ["big(bear)", "red(cow)", "red(tiger)"]
         # without fact 1, rule 1 loses its premise and "cow" is tried after "tiger"
         assert conclusions((2, 3)) == ["red(tiger)", "red(cow)"]
+
+
+    def test_since_keeps_instances_citing_a_newer_fact(self):
+        kb = KnowledgeBase.from_literals(
+            [attr("tiger", "blue"), attr("cow", "big"), attr("cow", "blue")],
+            (Rule(1, (attr(VAR, "blue"), attr("cow", "big")), attr(VAR, "red")),
+             Rule(2, (attr(VAR, "blue"),), attr(VAR, "cold"))))
+
+        def found(**kwargs):
+            return [(rule.id, str(c), premises)
+                    for rule, c, _, premises in kb.instances(kb.rules, **kwargs)]
+
+        everything = found()
+        assert everything == [(1, "red(tiger)", (1, 2)), (1, "red(cow)", (3, 2)),
+                              (2, "cold(tiger)", (1,)), (2, "cold(cow)", (3,))]
+        # a ground condition on a new fact makes every constant worth trying
+        assert found(since=1) == [i for i in everything if max(i[2]) > 1]
+        assert found(since=2) == [(1, "red(cow)", (3, 2)), (2, "cold(cow)", (3,))]
+        assert found(since=3) == []
+        assert found(among=(1, 3), since=1) == [(2, "cold(cow)", (3,))]
+
+
+def brute_join(kb, rules, among=None):
+    """Every rule, every constant of the joined facts, substitute, look up."""
+    joined = [f for f in kb.facts if among is None or f.id in among]
+    known = {f.literal: f.id for f in joined}
+    constants = list(dict.fromkeys(e for f in joined for e in f.literal.atom.entities()))
+    for rule in rules:
+        var = rule.variable()
+        for binding in [{}] if var is None else [{var: c} for c in constants]:
+            grounds = [substitute(c, binding) for c in rule.conditions]
+            if all(g in known for g in grounds):
+                yield (rule.id, substitute(rule.consequent, binding), binding,
+                       tuple(known[g] for g in grounds))
+
+
+def naive_saturate(kb):
+    """Layered fixpoint re-joining the whole store each layer with brute_join,
+    each store built from scratch."""
+    facts = list(kb.facts)
+    while True:
+        store = KnowledgeBase(tuple(facts), kb.rules)
+        found = {}
+        for rule_id, conclusion, _, premises in brute_join(store, store.rules):
+            if store.lookup(conclusion) is None:
+                found[conclusion] = min(found.get(conclusion, (rule_id, premises)),
+                                        (rule_id, premises))
+        if not found:
+            return store
+        for literal, (rule_id, premises) in found.items():
+            depth = 1 + max(facts[p - 1].depth for p in premises)
+            facts.append(Fact(len(facts) + 1, literal, rule_id, premises, depth))
+
+
+small_kbs = st.builds(
+    lambda seed, n_constants, n_facts, n_rules, negation_rate: _drawn_kb(
+        seed, InstanceSpec(Label.PROVED, n_constants=n_constants, n_adjectives=2, n_verbs=1,
+                           n_facts=n_facts, n_rules=n_rules, negation_rate=negation_rate,
+                           variable_rate=0.7)),
+    st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 8), st.integers(2, 10),
+    st.sampled_from([0.0, 0.1, 0.3]))
+
+
+def _drawn_kb(seed, spec):
+    rng = random.Random(seed)
+    vocab = _Vocab(sorted(rng.sample(NOUNS, spec.n_constants)),
+                   sorted(rng.sample(ADJECTIVES, spec.n_adjectives)),
+                   sorted(rng.sample(VERBS, spec.n_verbs)))
+    literals = _draw_facts(rng, vocab, spec)
+    rules = tuple(_draw_rule(rng, vocab, spec, i + 1) for i in range(spec.n_rules))
+    return KnowledgeBase.from_literals(literals, rules)
+
+
+class TestJoinProperties:
+    """The fact-driven join and semi-naive saturation against brute force."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kb=small_kbs, data=st.data())
+    def test_instances_equal_the_brute_force_join_past_since(self, kb, data):
+        closure = naive_saturate(kb)
+        cut = data.draw(st.integers(len(kb), len(closure)), label="cut")
+        store = KnowledgeBase(closure.facts[:cut], kb.rules)
+        rules = data.draw(st.permutations(kb.rules), label="order") + data.draw(
+            st.lists(st.sampled_from(kb.rules), max_size=3), label="repeats")
+        among = data.draw(st.none() | st.frozensets(st.integers(1, cut), min_size=cut // 2),
+                          label="among")
+        since = data.draw(st.integers(0, cut), label="since")
+        expected = [i for i in brute_join(store, rules, among) if max(i[3]) > since]
+        assert [(rule.id, c, b, p) for rule, c, b, p in store.instances(rules, among, since)] \
+            == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kb=small_kbs)
+    def test_saturate_equals_the_naive_layered_fixpoint(self, kb):
+        def rows(store):
+            return [(f.id, f.literal, f.rule_id, f.premises, f.depth) for f in store.facts]
+
+        closure, naive = saturate(kb), naive_saturate(kb)
+        assert rows(closure) == rows(naive)
+        assert closure.consistent == naive.consistent
 
 
 class TestInvariants:
