@@ -20,7 +20,7 @@ from .engine import (
     make_backend,
     replay_validate,
 )
-from .generate import PROFILES, GenerationExhausted, InstanceSpec, generate_instance
+from .generate import PROFILES, GenerationExhausted, generate_corpus
 from .language import Label, ProblemFormatError, load_problems, problem_record
 from .oracle import oracle_label
 
@@ -84,6 +84,8 @@ def _cmd_prove(args) -> int:
                                             engine=args.engine)
         for i, verdict in enumerate(verdicts, start=1):
             print(f"option {i}: {verdict.label.value} calls={verdict.calls}")
+            for warning in verdict.warnings:
+                print(f"warning: option {i}: {warning}", file=sys.stderr)
         print(f"chosen: {chosen if chosen is not None else 'none'} "
               f"calls={sum(v.calls for v in verdicts)}")
         doc = options_trace(problem.meta, args.engine, chosen, verdicts)
@@ -116,19 +118,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    label = Label.parse(args.label)
-    overrides = PROFILES[args.profile]
+    problems = generate_corpus(args.count, Label.parse(args.label), args.depth,
+                               args.seed, **PROFILES[args.profile])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    written = 0
-    with out.open("w", encoding="utf-8") as fh:
-        for i in range(args.count):
-            spec = InstanceSpec(target_label=label, proof_depth=args.depth,
-                                seed=args.seed + i, **overrides)
-            problem = generate_instance(spec)
-            fh.write(json.dumps(problem_record(problem), sort_keys=True) + "\n")
-            written += 1
-    print(f"wrote {written} problems to {args.out}")
+    out.write_text("".join(json.dumps(problem_record(p), sort_keys=True) + "\n"
+                           for p in problems), encoding="utf-8")
+    print(f"wrote {len(problems)} problems to {args.out}")
     return 0
 
 

@@ -2,9 +2,14 @@
 
 Prompts are rendered from data-file templates (one per module kind), sent to
 a configurable chat-completion endpoint, and parsed back into module
-outputs.  Responses are parsed strictly first, then through a keyword
-fallback; a response that fails both is reported as a stall, never a crash.
-Raw response text is kept so trace replay can audit every claim.
+outputs.  Every module method asks through one path: its premise listing
+numbers facts, then rules, then free-form statements (``PremiseIndex``, which
+also maps cited numbers back to ids), and ``invoke_module`` sends the prompt
+and returns the parsed payload.  Responses are parsed strictly first, then
+through a keyword fallback; a response that fails both reads as None, a
+stall with a warning, never a crash.  Each response is recorded as
+``{kind, raw, ok, fallback}``, and ``drain_responses`` hands these records
+over so the trace keeps the raw text for replay to audit every claim.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import os
 import re
 import threading
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -60,9 +66,8 @@ class RateLimited(Exception):
 
 
 class ResponseParseFailed(Exception):
-    def __init__(self, message: str, span: str = ""):
-        self.span = span
-        super().__init__(f"{message}: {span!r}" if span else message)
+    def __init__(self, message: str, text: str):
+        super().__init__(f"{message}: {text[:80]!r}" if text else message)
 
 
 @dataclass(frozen=True)
@@ -94,16 +99,6 @@ class RemoteConfig:
                    model=os.environ.get(ENV_MODEL, ""))
 
 
-@dataclass
-class ModuleResponse:
-    kind: str
-    raw: str
-    payload: object = None
-    ok: bool = True
-    fallback: bool = False
-    error: str = ""
-
-
 def _template(kind: str) -> str:
     if kind not in TEMPLATE_KINDS:
         raise ValueError(f"unknown template kind {kind!r}")
@@ -117,34 +112,34 @@ def render_prompt(kind: str, hypothesis: str = "", premises: str = "",
     return text.format(hypothesis=hypothesis, premises=premises, context=context)
 
 
-def number_premises(problem_like: "PremiseIndex") -> str:
-    return "\n".join(f"{i}: {text}" for i, text in problem_like.numbered())
-
-
 class PremiseIndex:
-    """Numbers facts 1..F and rules F+1..F+R the way prompts display them,
-    and maps cited premise numbers back to fact or rule ids."""
+    """The premise numbering prompts show: facts 1..F, rules F+1..F+R, then
+    free-form statements; cited premise numbers map back to fact or rule ids
+    in citation order, out-of-range numbers dropped, duplicates kept."""
 
     def __init__(self, kb: KnowledgeBase, freeform: tuple[str, ...] = ()):
         self.kb = kb
-        self.fact_count = len(kb.facts)
-        self.rule_count = len(kb.rules)
         self.freeform = freeform
 
-    def numbered(self) -> list[tuple[int, str]]:
-        out = [(f.id, render_literal(f.literal)) for f in self.kb.facts]
-        base = self.fact_count
-        out.extend((base + r.id, render_rule(r)) for r in self.kb.rules)
-        base += self.rule_count
-        out.extend((base + i, text) for i, text in enumerate(self.freeform, start=1))
-        return out
+    def rule_number(self, rule_id: int) -> int:
+        return len(self.kb.facts) + rule_id
 
-    def fact_id(self, premise_number: int) -> int | None:
-        return premise_number if 1 <= premise_number <= self.fact_count else None
+    def rule_lines(self, rule_ids: Iterable[int]) -> list[str]:
+        return [f"{self.rule_number(rid)}: {render_rule(self.kb.rule(rid))}"
+                for rid in rule_ids]
 
-    def rule_id(self, premise_number: int) -> int | None:
-        rid = premise_number - self.fact_count
-        return rid if 1 <= rid <= self.rule_count else None
+    def listing(self) -> str:
+        lines = [f"{f.id}: {render_literal(f.literal)}" for f in self.kb.facts]
+        lines += self.rule_lines(r.id for r in self.kb.rules)
+        lines += [f"{i}: {text}" for i, text in enumerate(self.freeform, len(lines) + 1)]
+        return "\n".join(lines)
+
+    def fact_ids(self, numbers: Iterable[int]) -> list[int]:
+        return [n for n in numbers if 1 <= n <= len(self.kb.facts)]
+
+    def rule_ids(self, numbers: Iterable[int]) -> list[int]:
+        by_number = {self.rule_number(r.id): r.id for r in self.kb.rules}
+        return [by_number[n] for n in numbers if n in by_number]
 
 
 # --------------------------------------------------------------------------
@@ -199,13 +194,13 @@ def parse_module_response(kind: str, text: str) -> tuple[object, bool]:
         label = _find_label(text)
         if label is not None:
             return (label, None), True
-        raise ResponseParseFailed("no label keyword in fact check", text[:80])
+        raise ResponseParseFailed("no label keyword in fact check", text)
     if kind in ("fact_identify", "rule_select_forward", "rule_select_backward"):
         numbers = [int(n) for n in _NUMBER_RE.findall(text)]
         numbers += [int(n) for n in _LINE_NUMBER_RE.findall(text)]
         unique = list(dict.fromkeys(numbers))
         if not unique:
-            raise ResponseParseFailed("no premise numbers in selection", text[:80])
+            raise ResponseParseFailed("no premise numbers in selection", text)
         return unique, False
     if kind == "confusion_check":
         m = re.search(r"Confusion Check:\s*\n?\s*(True|False)", text, re.I)
@@ -214,7 +209,7 @@ def parse_module_response(kind: str, text: str) -> tuple[object, bool]:
         tokens = re.findall(r"\b(true|false)\b", text, re.I)
         if tokens:
             return tokens[-1].lower() == "true", True
-        raise ResponseParseFailed("no True/False in confusion check", text[:80])
+        raise ResponseParseFailed("no True/False in confusion check", text)
     if kind in ("logic_deduce", "logic_abduce"):
         entries = []
         for chunk in re.split(r"\n|(?<=\.)\s+or\b", text):
@@ -234,7 +229,7 @@ def parse_module_response(kind: str, text: str) -> tuple[object, bool]:
             if cited or parsed or opaque:
                 entries.append({"cited": cited, "literals": parsed, "opaque": opaque})
         if not entries:
-            raise ResponseParseFailed("no usable content", text[:80])
+            raise ResponseParseFailed("no usable content", text)
         return entries, False
     raise ValueError(f"unknown response kind {kind!r}")
 
@@ -276,7 +271,7 @@ class RemoteBackend:
         self.transport = transport or self._http_transport
         self.calls = 0
         self.warnings: list[str] = []
-        self.responses: list[ModuleResponse] = []
+        self.responses: list[dict] = []
         self._session = requests.Session()
         self._freeform: tuple[str, ...] = ()
 
@@ -316,21 +311,24 @@ class RemoteBackend:
                              f"attempts: {last_error}")
 
     def invoke_module(self, kind: str, hypothesis: str = "", premises: str = "",
-                      context: str = "") -> ModuleResponse:
+                      context: str = "") -> object:
+        """One inference call: the parsed payload, or None for a response
+        neither grammar reads (a stall, with a warning).  The raw response is
+        recorded for ``drain_responses``."""
         prompt = render_prompt(kind, hypothesis, premises, context)
         self.calls += 1  # one inference call, before any retry accounting
         raw = self.transport(prompt)
+        payload, fallback = None, False
         try:
             payload, fallback = parse_module_response(kind, raw)
-            response = ModuleResponse(kind, raw, payload, ok=True, fallback=fallback)
-            if fallback:
-                self.warnings.append(f"{kind}: fallback keyword parse used")
         except ResponseParseFailed as exc:
-            response = ModuleResponse(kind, raw, None, ok=False, error=str(exc))
             self.warnings.append(f"{kind}: unparseable response treated as a stall "
                                  f"({exc})")
-        self.responses.append(response)
-        return response
+        if fallback:
+            self.warnings.append(f"{kind}: fallback keyword parse used")
+        self.responses.append({"kind": kind, "raw": raw, "ok": payload is not None,
+                               "fallback": fallback})
+        return payload
 
     def drain_warnings(self) -> list[str]:
         out = self.warnings
@@ -339,37 +337,44 @@ class RemoteBackend:
 
     def drain_responses(self) -> list[dict]:
         """Raw wire responses since the last drain, for verbatim trace capture."""
-        out = [{"kind": r.kind, "raw": r.raw, "ok": r.ok, "fallback": r.fallback}
-               for r in self.responses]
+        out = self.responses
         self.responses = []
         return out
 
     # -- module contracts -----------------------------------------------------
 
-    def _premises(self, kb: KnowledgeBase) -> tuple[PremiseIndex, str]:
-        index = PremiseIndex(kb, self._freeform)
-        return index, number_premises(index)
+    def _ask(self, kind: str, kb: KnowledgeBase | None, shown: str = "",
+             context: str = "") -> tuple[PremiseIndex | None, object]:
+        """Ask one module over the premise listing of ``kb`` (none for a
+        confusion check): the listing's index and the parsed payload, None
+        for an unparseable response."""
+        index = None if kb is None else PremiseIndex(kb, self._freeform)
+        listing = "" if index is None else index.listing()
+        return index, self.invoke_module(kind, shown, listing, context)
+
+    def _check(self, kb: KnowledgeBase, shown: str) -> tuple[Label, int | None]:
+        """One fact check: the claimed label and the fact id it cites."""
+        index, payload = self._ask("fact_check", kb, shown)
+        if payload is None:
+            return Label.UNKNOWN, None
+        label, number = payload
+        cited = index.fact_ids([number]) if number else []
+        return label, cited[0] if cited else None
 
     def fact_identify(self, hypothesis: Hypothesis, kb: KnowledgeBase) -> tuple[int, ...]:
         if not kb.facts:
             raise ValueError("fact identification needs a non-empty knowledge base")
-        index, premises = self._premises(kb)
-        response = self.invoke_module("fact_identify",
-                                      render_hypothesis(hypothesis), premises)
-        kept = ()
-        if response.ok:
-            kept = tuple(i for i in map(index.fact_id, response.payload) if i is not None)
+        index, numbers = self._ask("fact_identify", kb, render_hypothesis(hypothesis))
+        kept = () if numbers is None else tuple(index.fact_ids(numbers))
         return kept or tuple(f.id for f in kb.facts)
 
     def rule_select_forward(self, relevant: tuple[int, ...], kb: KnowledgeBase,
                             goals: tuple[Literal, ...]) -> RuleSelection:
-        index, premises = self._premises(kb)
         shown = render_literal(goals[0]) if goals else ""
-        response = self.invoke_module("rule_select_forward", shown, premises)
-        if not response.ok:
+        index, numbers = self._ask("rule_select_forward", kb, shown)
+        if numbers is None:
             return RuleSelection(())
-        ids = [index.rule_id(n) for n in response.payload]
-        kept = tuple(dict.fromkeys(i for i in ids if i is not None))
+        kept = tuple(dict.fromkeys(index.rule_ids(numbers)))
         bridge = None
         if len(kept) == 1 and goals:
             rule = kb.rule(kept[0])
@@ -379,13 +384,11 @@ class RemoteBackend:
 
     def rule_select_backward(self, goals: tuple[Literal, ...],
                              kb: KnowledgeBase) -> RuleSelection:
-        index, premises = self._premises(kb)
         shown = "\n".join(render_literal(g) for g in goals)
-        response = self.invoke_module("rule_select_backward", shown, premises)
-        if not response.ok:
+        index, numbers = self._ask("rule_select_backward", kb, shown)
+        if numbers is None:
             return RuleSelection((), by_goal=tuple((g, ()) for g in goals))
-        ids = [index.rule_id(n) for n in response.payload]
-        kept = [i for i in dict.fromkeys(ids) if i is not None]
+        kept = list(dict.fromkeys(index.rule_ids(numbers)))
         selection = select_by_goal(goals, [kb.rule(i) for i in kept])
         dropped = set(kept) - set(selection.rule_ids)
         if dropped:
@@ -407,23 +410,17 @@ class RemoteBackend:
     def logic_deduce(self, selection: RuleSelection, kb: KnowledgeBase) -> DeductionStep:
         if not selection.rule_ids:
             raise ValueError("deduction needs a non-empty rule selection")
-        index, premises = self._premises(kb)
-        context = "\n".join(
-            f"{index.fact_count + rid}: {render_rule(kb.rule(rid))}"
-            for rid in selection.rule_ids)
-        response = self.invoke_module("logic_deduce", "", premises, context)
-        if not response.ok:
-            return DeductionStep()
+        selected = "\n".join(PremiseIndex(kb).rule_lines(selection.rule_ids))
+        index, entries = self._ask("logic_deduce", kb, context=selected)
         derived: list[Derivation] = []
         seen: set[Literal] = set()
-        for entry in response.payload:
+        for entry in entries or ():
+            cited_rules = index.rule_ids(entry["cited"])
             for literal in entry["literals"]:
                 if not literal.is_ground or kb.lookup(literal) is not None \
                         or literal in seen:
                     continue
                 seen.add(literal)
-                cited_rules = [r for r in (index.rule_id(n) for n in entry["cited"])
-                               if r is not None]
                 rebuilt = self._reconstruct(literal, kb, cited_rules)
                 if rebuilt is not None:
                     derived.append(rebuilt)
@@ -432,8 +429,7 @@ class RemoteBackend:
                 # flag; one citing none is dropped (its text stays in the step)
                 self.warnings.append(f"logic_deduce: unsupported deduction "
                                      f"{render_literal(literal)!r}")
-                cited_facts = tuple(f for f in (index.fact_id(n) for n in entry["cited"])
-                                    if f is not None)
+                cited_facts = tuple(index.fact_ids(entry["cited"]))
                 if cited_facts:
                     rule_id = cited_rules[0] if cited_rules else selection.rule_ids[0]
                     derived.append(Derivation(literal, rule_id, cited_facts))
@@ -445,20 +441,14 @@ class RemoteBackend:
 
     def logic_abduce(self, goal: Literal, selection: RuleSelection,
                      kb: KnowledgeBase) -> tuple[GoalSet, ...]:
-        index, premises = self._premises(kb)
-        context = "\n".join(
-            f"{index.fact_count + rid}: {render_rule(kb.rule(rid))}"
-            for rid in selection.rule_ids)
-        response = self.invoke_module("logic_abduce", render_literal(goal),
-                                      premises, context)
-        if not response.ok:
-            return ()
+        selected = "\n".join(PremiseIndex(kb).rule_lines(selection.rule_ids))
+        index, entries = self._ask("logic_abduce", kb, render_literal(goal), selected)
         out: list[GoalSet] = []
-        for entry in response.payload:
-            rids = [r for r in (index.rule_id(n) for n in entry["cited"]) if r is not None]
-            rid = rids[0] if rids else None
-            if rid is None or rid not in selection.rule_ids:
+        for entry in entries or ():
+            cited = index.rule_ids(entry["cited"])
+            if not cited or cited[0] not in selection.rule_ids:
                 continue
+            rid = cited[0]
             gs = abduce_goal_set(kb.rule(rid), goal)
             if gs is None:
                 self.warnings.append(f"logic_abduce: rule {rid} does not unify "
@@ -472,33 +462,19 @@ class RemoteBackend:
         return tuple(out)
 
     def fact_check(self, target, kb: KnowledgeBase) -> FactCheckResult:
-        index, premises = self._premises(kb)
         if isinstance(target, Hypothesis):
-            response = self.invoke_module("fact_check", render_hypothesis(target),
-                                          premises)
-            if not response.ok:
-                return FactCheckResult(Label.UNKNOWN)
-            label, premise_number = response.payload
-            evidence = index.fact_id(premise_number) if premise_number else None
+            label, evidence = self._check(kb, render_hypothesis(target))
             if label is not Label.UNKNOWN:
                 evidence = _agreeing_fact(kb, target.consequent, label) or evidence
             return FactCheckResult(label, evidence=evidence)
-        goalsets: tuple[GoalSet, ...] = tuple(target)
+        goalsets: list[GoalSet] = list(target)
         pending = next((i for i, gs in enumerate(goalsets)
                         if not gs.satisfied and not gs.failed), None)
-        if pending is None:
-            satisfied = next((i for i, gs in enumerate(goalsets) if gs.satisfied), None)
-            label = Label.PROVED if satisfied is not None else Label.UNKNOWN
-            return FactCheckResult(label, goalsets=goalsets, satisfied=satisfied)
-        shown = "\n".join(render_literal(g.literal)
-                          for g in goalsets[pending].open_goals())
-        response = self.invoke_module(
-            "fact_check", shown if shown else render_literal(goalsets[pending].goals[0].literal),
-            premises)
-        updated = list(goalsets)
-        label, premise_number = response.payload if response.ok else (Label.UNKNOWN, None)
+        label, cited = Label.UNKNOWN, None
+        if pending is not None:
+            label, cited = self._check(kb, "\n".join(
+                render_literal(g.literal) for g in goalsets[pending].open_goals()))
         if label is not Label.UNKNOWN:
-            cited = index.fact_id(premise_number) if premise_number else None
             goals = []
             for g in goalsets[pending].goals:
                 if g.status is GoalStatus.OPEN:
@@ -511,10 +487,10 @@ class RemoteBackend:
                     elif evidence is not None:
                         g = replace(g, status=GoalStatus.CONTRADICTED, fact_id=evidence)
                 goals.append(g)
-            updated[pending] = replace(goalsets[pending], goals=tuple(goals))
-        satisfied = next((i for i, gs in enumerate(updated) if gs.satisfied), None)
+            goalsets[pending] = replace(goalsets[pending], goals=tuple(goals))
+        satisfied = next((i for i, gs in enumerate(goalsets) if gs.satisfied), None)
         label = Label.PROVED if satisfied is not None else Label.UNKNOWN
-        return FactCheckResult(label, goalsets=tuple(updated), satisfied=satisfied)
+        return FactCheckResult(label, goalsets=tuple(goalsets), satisfied=satisfied)
 
     def confusion_check(self, step) -> bool:
         if isinstance(step, DeductionStep):
@@ -525,10 +501,8 @@ class RemoteBackend:
                 goals = " and ".join(render_clause(g.literal) for g in gs.goals)
                 lines.append(f"According to Rule {gs.origin_rule}, "
                              f"we need to prove {goals}.")
-        response = self.invoke_module("confusion_check", context="\n".join(lines))
-        if not response.ok:
-            return False
-        return bool(response.payload)
+        _, confused = self._ask("confusion_check", None, context="\n".join(lines))
+        return bool(confused)
 
 
 # --------------------------------------------------------------------------

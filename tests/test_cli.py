@@ -65,6 +65,17 @@ class TestProve:
         assert "option 2: Proved" in out
         assert "chosen: 2" in out
 
+    def test_options_print_each_verdicts_warnings(self, capsys, tmp_path):
+        path = tmp_path / "opts.jsonl"
+        path.write_text(json.dumps({
+            "facts": ["The cow is blue.", "The cow is not blue."],
+            "rules": ["If someone is blue then they are big."],
+            "options": ["The cow is big.", "The cow is red."]}) + "\n",
+            encoding="utf-8")
+        _, _, err = run(capsys, "prove", str(path))
+        for i in (1, 2):
+            assert f"warning: option {i}: InconsistentKB: " in err
+
     def test_options_trace_is_the_bench_trace(self, capsys, tmp_path):
         path = tmp_path / "opts.jsonl"
         path.write_text(json.dumps({

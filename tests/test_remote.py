@@ -1,5 +1,6 @@
 """Remote backend: prompt rendering, response grammars, wire behavior."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,13 +23,11 @@ from bichain.language import Hypothesis, Label, parse_problem
 from bichain.modules import Goal, GoalSet, GoalStatus, RuleSelection
 from bichain.remote import (
     Cassette,
-    ModuleResponse,
     PremiseIndex,
     RemoteBackend,
     RemoteConfig,
     ResponseParseFailed,
     TransportError,
-    number_premises,
     parse_module_response,
     render_prompt,
 )
@@ -105,8 +104,7 @@ class TestPromptRendering:
         assert a == b
 
     def test_premises_numbered_from_one(self):
-        index = PremiseIndex(DEMO.kb)
-        listing = number_premises(index)
+        listing = PremiseIndex(DEMO.kb).listing()
         assert listing.splitlines()[0] == "1: The cow is blue."
         assert listing.splitlines()[2].startswith("3: If the cow is blue")
 
@@ -118,10 +116,16 @@ class TestPromptRendering:
 class TestPremiseIndex:
     def test_fact_and_rule_mapping(self):
         index = PremiseIndex(DEMO.kb)
-        assert index.fact_id(1) == 1
-        assert index.fact_id(3) is None
-        assert index.rule_id(3) == 1
-        assert index.rule_id(99) is None
+        assert index.fact_ids([1]) == [1]
+        assert index.fact_ids([3]) == []
+        assert index.rule_ids([3]) == [1]
+        assert index.rule_ids([99]) == []
+
+    def test_citations_keep_order_and_duplicates(self):
+        index = PremiseIndex(DEMO.kb, ("Cows generally admire tuesdays.",))
+        assert index.fact_ids([2, 0, 9, 1, 2]) == [2, 1, 2]
+        assert index.rule_ids([4, 1, 5, 3, 4]) == [2, 1, 2]
+        assert index.listing().splitlines()[-1] == "5: Cows generally admire tuesdays."
 
 
 class TestResponseGrammars:
@@ -219,8 +223,8 @@ class TestCallAccounting:
         backend = RemoteBackend(RemoteConfig(endpoint="http://flaky.invalid",
                                              retries=3, backoff=0.0))
         backend._session = FlakySession()
-        response = backend.invoke_module("confusion_check", context="x")
-        assert response.ok and backend.calls == 1 and len(attempts) == 3
+        assert backend.invoke_module("confusion_check", context="x") is False
+        assert backend.calls == 1 and len(attempts) == 3
 
     def test_transport_error_after_retries(self):
         class DeadSession:
@@ -263,8 +267,7 @@ class TestCallAccounting:
         backend = RemoteBackend(RemoteConfig(endpoint="http://throttle.invalid",
                                              retries=2, backoff=0.0))
         backend._session = ThrottledSession()
-        response = backend.invoke_module("confusion_check", context="x")
-        assert response.ok and response.payload is True
+        assert backend.invoke_module("confusion_check", context="x") is True
         assert len(attempts) == 2 and backend.calls == 1
 
 
@@ -402,6 +405,63 @@ class TestFullRuns:
         # a hypothesis without a stored fact keeps the cited premise for replay to reject
         res = backend.fact_check(Hypothesis(attr("cow", "red")), problem.kb)
         assert (res.label, res.evidence) == (Label.PROVED, 1)
+
+
+def _goal_set_disproved(backend):
+    kb = KnowledgeBase.from_literals([attr("cow", "big"), attr("cow", "blue", False)])
+    backend.fact_check((GoalSet((Goal(attr("cow", "red")), Goal(attr("cow", "blue")))),), kb)
+
+
+def _goal_set_proved(backend):
+    kb = KnowledgeBase.from_literals([attr("cow", "blue"), attr("cow", "big")])
+    for second in (attr("cow", "big"), attr("cow", "red")):
+        backend.fact_check((GoalSet((Goal(attr("cow", "blue")), Goal(second))),), kb)
+    # only the open goal is shown
+    proven = Goal(attr("cow", "blue"), GoalStatus.PROVEN, fact_id=1)
+    backend.fact_check((GoalSet((proven, Goal(attr("cow", "big")))),), kb)
+
+
+def _freeform(backend):
+    problem = parse_problem(
+        "fact: The cow is blue.\nfact: Cows generally admire tuesdays.\n"
+        "hypothesis: The cow is blue.\n", allow_freeform=True)
+    prove_bidirectional(problem, EngineConfig(), backend)
+
+
+_DISPROVED_BY_2 = "Fact Check:\nThe hypothesis can be directly disproved by Premise 2."
+_PROVED_BY_1 = "Fact Check:\nThe hypothesis can be directly proved by Premise 1."
+
+# run name -> (answers, run over a backend, prompt count, SHA-256 of the
+# prompts joined by NUL)
+GOLDEN_PROMPTS = {
+    "bi": (SCRIPT, lambda b: prove_bidirectional(DEMO, EngineConfig(), b), 9,
+           "334ab96dcfccbf503c3ee3597d9ff5bc6915679c46a70a6f8236c583d4476491"),
+    "backward": (BACKWARD_SCRIPT, lambda b: prove_backward(DEMO, EngineConfig(), b), 14,
+                 "ef364e71c3b9ecebf33724f8b9993f9be5d0eca2df9e305043a28135a55d4039"),
+    "freeform": (["Fact Identify:\n1: The cow is blue.", _PROVED_BY_1], _freeform, 2,
+                 "bdbfc7fc73b3880bee2eec4b1f8d3b77198ef5570955776d8f2e380f61b8cf0a"),
+    "goal_set_disproved": ([_DISPROVED_BY_2], _goal_set_disproved, 1,
+                           "b81a10b517015195fb9fa8dc9387133972089b710c41fb75bd31d53d5e9c122d"),
+    "goal_set_proved": ([_PROVED_BY_1] * 3, _goal_set_proved, 3,
+                        "5fa8c027a57c9d0c13aa104a1fefef53d2504074b0bbb2fe0f6d8db90a5c844b"),
+}
+
+
+class TestGoldenPrompts:
+    """Every prompt of the scripted runs, byte for byte: premise listings,
+    rule numbers in the deduce and abduce contexts, goal renderings."""
+
+    @pytest.mark.parametrize("run", sorted(GOLDEN_PROMPTS))
+    def test_prompts_are_pinned(self, run):
+        answers, drive, count, digest = GOLDEN_PROMPTS[run]
+        prompts = []
+        cassette = Cassette(list(answers))
+        backend = RemoteBackend(offline_config(), transport=lambda prompt: (
+            prompts.append(prompt) or cassette(prompt)))
+        drive(backend)
+        joined = "\0".join(prompts)
+        assert (len(prompts), hashlib.sha256(joined.encode()).hexdigest()) == \
+            (count, digest)
 
 
 class TestImports:
